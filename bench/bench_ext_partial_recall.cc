@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdio>
 #include <functional>
-#include <iterator>
 
 #include "bench_common.h"
 
@@ -124,57 +123,8 @@ int main() {
     return PidsOf(searcher.FrequentKnMatch(q, 5, 50, k).value().matches);
   });
 
-  // Approximate AD rows, with the bound reporting cross-checked on the
-  // side: every query's measured recall against the exact k-n-match
-  // answer must be >= its reported RecallBound.guaranteed (the bound is
-  // a floor, not an estimate). A violation is a correctness bug, so it
-  // fails the bench.
-  bool bounds_ok = true;
-  for (const double eps : {0.1, 0.25}) {
-    ApproxPolicy policy;
-    policy.epsilon = eps;
-    double bound_sum = 0;
-    double recall_sum = 0;
-    for (PointId qpid = 0; qpid < db.size(); ++qpid) {
-      auto q = db.point(qpid);
-      const auto exact = searcher.KnMatch(q, 18, 5);
-      const auto approx =
-          searcher.KnMatch(q, 18, 5, {}, nullptr, nullptr, policy);
-      std::vector<PointId> want = PidsOf(exact.value().matches);
-      std::vector<PointId> got = PidsOf(approx.value().matches);
-      std::sort(want.begin(), want.end());
-      std::sort(got.begin(), got.end());
-      std::vector<PointId> common;
-      std::set_intersection(want.begin(), want.end(), got.begin(),
-                            got.end(), std::back_inserter(common));
-      const double measured =
-          static_cast<double>(common.size()) / 5.0;
-      const double bound = approx.value().bound.guaranteed;
-      bound_sum += bound;
-      recall_sum += measured;
-      if (measured + 1e-12 < bound) {
-        std::printf("RECALL BOUND VIOLATION: query %u eps %.2f measured "
-                    "%.3f < guaranteed %.3f\n",
-                    qpid, eps, measured, bound);
-        bounds_ok = false;
-      }
-    }
-    std::printf("bound cross-check (eps=%.2f): mean measured recall "
-                "%.3f >= mean reported bound %.3f on all %zu queries\n",
-                eps, recall_sum / static_cast<double>(db.size()),
-                bound_sum / static_cast<double>(db.size()), db.size());
-    char name[48];
-    std::snprintf(name, sizeof name, "approx k-n-match (n=18, eps=%.2f)",
-                  eps);
-    add(name, [&searcher, policy](std::span<const Value> q, size_t k) {
-      return PidsOf(searcher.KnMatch(q, 18, k, {}, nullptr, nullptr, policy)
-                        .value()
-                        .matches);
-    });
-  }
   std::printf("\n");
   table.Print(std::cout);
-  if (!bounds_ok) return 1;
 
   std::printf("\nexpected shape: the matching-based rows sit at or above "
               "the aggregation-based rows (planted subspace matches are "

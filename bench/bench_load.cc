@@ -60,13 +60,6 @@ std::string MirrorBody(const SimilarityEngine& engine,
   }
   w.EndArray();
   w.Key("attributes_retrieved").Uint(r.value().attributes_retrieved);
-  w.Key("bound").BeginObject();
-  w.Key("guaranteed").Number(r.value().bound.guaranteed);
-  w.Key("epsilon").Number(r.value().bound.epsilon);
-  w.Key("column_sample").Number(r.value().bound.column_sample);
-  w.Key("early_stopped").Bool(r.value().bound.early_stopped);
-  w.Key("sampled").Bool(r.value().bound.sampled);
-  w.EndObject();
   w.Key("partial").Bool(false);
   w.EndObject();
   return w.Take();
@@ -123,8 +116,6 @@ int main(int argc, char** argv) {
     load.k = kK;
     load.deadline_ms = 250;
     load.fault_fraction = 0.05;
-    load.approx_fraction = 0.1;
-    load.epsilon = 0.1;
     load.seed = 42;
     auto run = serve::RunOpenLoopLoad(load, pool);
     if (!run.ok()) {

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -473,196 +472,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "\n    ]}");
     std::printf("\n");
-  }
-
-  // approx_frontier: the bounded-recall (1+eps) early stop swept over
-  // epsilon. Each query's measured recall (overlap with the exact
-  // answer set) is checked against the per-query RecallBound the engine
-  // reported — a violation is a soundness bug, so the lane fails hard
-  // rather than recording it. Expect a cliff, not a smooth frontier:
-  // completions arrive like D^n while pop cost grows like D, so any
-  // sound m/k-bounded stop that saves real work must stop at small m
-  // (docs/perf.md derives this) — the lane's value is recording the
-  // certified end of the frontier honestly, epsilon by epsilon. Field
-  // names (approx_qps / speedup / recall) keep the lane out of the
-  // sequential-drift gate; check_bench_drift.sh gates it on recall
-  // soundness instead.
-  {
-    constexpr size_t kN = 8, kK = 10;
-    const SimilarityEngine& approx_engine = engine;
-    const std::vector<std::vector<Value>>& approx_queries = request.queries;
-    std::vector<std::vector<PointId>> exact_sets;
-    exact_sets.reserve(approx_queries.size());
-    for (const auto& q : approx_queries) {
-      auto r = approx_engine.KnMatch(q, kN, kK);
-      std::vector<PointId> pids;
-      for (const Neighbor& nb : r.value().matches) pids.push_back(nb.pid);
-      std::sort(pids.begin(), pids.end());
-      exact_sets.push_back(std::move(pids));
-    }
-
-    std::fprintf(json,
-                 ",\n    {\"name\": \"approx_frontier\", \"n\": %zu, "
-                 "\"k\": %zu, \"sweep\": [",
-                 kN, kK);
-    const double epsilons[] = {0.0, 0.05, 0.1, 0.25};
-    double exact_qps = 0;
-    bool first_eps = true;
-    for (const double eps : epsilons) {
-      ApproxPolicy policy;
-      policy.epsilon = eps;
-
-      // Measured recall + per-query bound check (untimed pass).
-      double recall_sum = 0;
-      double bound_sum = 0;
-      double min_margin = 1.0;
-      uint64_t early_stops = 0;
-      for (size_t i = 0; i < approx_queries.size(); ++i) {
-        auto r = approx_engine.KnMatch(approx_queries[i], kN, kK, {},
-                                       nullptr, policy);
-        std::vector<PointId> got;
-        for (const Neighbor& nb : r.value().matches) got.push_back(nb.pid);
-        std::sort(got.begin(), got.end());
-        std::vector<PointId> common;
-        std::set_intersection(got.begin(), got.end(),
-                              exact_sets[i].begin(), exact_sets[i].end(),
-                              std::back_inserter(common));
-        const double measured =
-            static_cast<double>(common.size()) /
-            static_cast<double>(exact_sets[i].size());
-        const double bound = r.value().bound.guaranteed;
-        if (measured + 1e-12 < bound) {
-          std::fprintf(stderr,
-                       "RECALL BOUND VIOLATION at eps=%.2f query %zu: "
-                       "measured %.4f < guaranteed %.4f\n",
-                       eps, i, measured, bound);
-          return 1;
-        }
-        recall_sum += measured;
-        bound_sum += bound;
-        if (measured - bound < min_margin) min_margin = measured - bound;
-        if (r.value().bound.early_stopped) ++early_stops;
-      }
-
-      // Timed passes: answers at a fixed epsilon are deterministic, so
-      // checksum each pass against the first.
-      auto run_eps = [&approx_engine, &approx_queries, &policy]() {
-        uint64_t sum = 0;
-        for (const auto& q : approx_queries) {
-          auto r = approx_engine.KnMatch(q, kN, kK, {}, nullptr, policy);
-          for (const Neighbor& nb : r.value().matches) sum += nb.pid;
-        }
-        return sum;
-      };
-      const uint64_t reference = run_eps();
-      double best_seconds = 0;
-      for (int pass = 0; pass < kTimedPasses; ++pass) {
-        auto start = std::chrono::steady_clock::now();
-        const uint64_t sum = run_eps();
-        const double elapsed = Seconds(start);
-        if (pass == 0 || elapsed < best_seconds) best_seconds = elapsed;
-        if (sum != reference) {
-          std::fprintf(stderr, "checksum drift at eps=%.2f\n", eps);
-          return 1;
-        }
-      }
-      const double qps = num_queries / best_seconds;
-      if (eps == 0.0) exact_qps = qps;
-      const double speedup = exact_qps > 0 ? qps / exact_qps : 0.0;
-      const double recall_mean =
-          recall_sum / static_cast<double>(approx_queries.size());
-      const double bound_mean =
-          bound_sum / static_cast<double>(approx_queries.size());
-
-      std::printf("%-20s eps=%-5.2f  %8.1f q/s  (%.2fx vs exact, recall "
-                  "%.4f >= bound %.4f, %llu early stops)\n",
-                  first_eps ? "approx_frontier" : "", eps, qps, speedup,
-                  recall_mean, bound_mean,
-                  static_cast<unsigned long long>(early_stops));
-      std::fprintf(json,
-                   "%s\n      {\"epsilon\": %.2f, \"approx_qps\": %.1f, "
-                   "\"speedup_vs_exact\": %.3f, \"recall_mean\": %.4f, "
-                   "\"bound_mean\": %.4f, \"min_bound_margin\": %.4f, "
-                   "\"early_stops\": %llu, \"recall_ok\": true}",
-                   first_eps ? "" : ",", eps, qps, speedup, recall_mean,
-                   bound_mean, min_margin,
-                   static_cast<unsigned long long>(early_stops));
-      first_eps = false;
-    }
-    std::fprintf(json, "\n    ]}");
-    std::printf("\n");
-  }
-
-  // packed_columns: the exact AD path over the delta-encoded bit-packed
-  // columns vs the flat SoA columns, on a dedicated searcher (so the
-  // byte counts are visible and the engine's facade stays out of the
-  // measurement). Every packed pass is checksummed against the flat
-  // reference — the packed path is exact by contract. Field names
-  // (packed_qps / flat_qps) keep the lane out of the sequential-drift
-  // gate; check_bench_drift.sh drifts packed_qps on its own.
-  {
-    constexpr size_t kN = 8, kK = 10;
-    AdSearcher searcher(engine.dataset());
-    auto run_searcher = [&searcher, &request]() {
-      uint64_t sum = 0;
-      for (const auto& q : request.queries) {
-        auto r = searcher.KnMatch(q, kN, kK);
-        for (const Neighbor& nb : r.value().matches) sum += nb.pid;
-      }
-      return sum;
-    };
-
-    const uint64_t reference = run_searcher();  // warm + flat checksum
-    double flat_seconds = 0;
-    for (int pass = 0; pass < kTimedPasses; ++pass) {
-      auto start = std::chrono::steady_clock::now();
-      const uint64_t sum = run_searcher();
-      const double elapsed = Seconds(start);
-      if (pass == 0 || elapsed < flat_seconds) flat_seconds = elapsed;
-      if (sum != reference) {
-        std::fprintf(stderr, "checksum drift in flat-column run\n");
-        return 1;
-      }
-    }
-    const double flat_qps = num_queries / flat_seconds;
-
-    searcher.EnablePackedColumns();
-    const PackedColumns* packed = searcher.packed_columns();
-    if (run_searcher() != reference) {  // warm + bit-identity check
-      std::fprintf(stderr, "packed-column answers diverge\n");
-      return 1;
-    }
-    double packed_seconds = 0;
-    for (int pass = 0; pass < kTimedPasses; ++pass) {
-      auto start = std::chrono::steady_clock::now();
-      const uint64_t sum = run_searcher();
-      const double elapsed = Seconds(start);
-      if (pass == 0 || elapsed < packed_seconds) packed_seconds = elapsed;
-      if (sum != reference) {
-        std::fprintf(stderr, "checksum drift in packed-column run\n");
-        return 1;
-      }
-    }
-    const double packed_qps = num_queries / packed_seconds;
-    const double ratio =
-        static_cast<double>(packed->packed_bytes()) /
-        static_cast<double>(packed->unpacked_bytes());
-
-    std::printf("%-20s flat:       %8.1f q/s\n", "packed_columns",
-                flat_qps);
-    std::printf("%-20s packed:     %8.1f q/s  (%.2fx vs flat, %.1f%% of "
-                "flat bytes, checksum ok)\n\n",
-                "", packed_qps, packed_qps / flat_qps, 100.0 * ratio);
-    std::fprintf(json,
-                 ",\n    {\"name\": \"packed_columns\", "
-                 "\"flat_qps\": %.1f, \"packed_qps\": %.1f, "
-                 "\"packed_speedup\": %.3f, \"packed_bytes\": %zu, "
-                 "\"unpacked_bytes\": %zu, "
-                 "\"compression_ratio_percent\": %.1f, "
-                 "\"checksum_ok\": true}",
-                 flat_qps, packed_qps, packed_qps / flat_qps,
-                 packed->packed_bytes(), packed->unpacked_bytes(),
-                 100.0 * ratio);
   }
 
   std::fprintf(json, "\n  ]\n}\n");

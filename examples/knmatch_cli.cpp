@@ -44,17 +44,6 @@
 //   govern budget attrs|pages|scratch <v>   per-query resource budgets
 //   govern off                        lift all governance limits
 //   govern status                     show the armed limits
-//   approx eps <e>                    bounded-recall (1+e) early stop for
-//                                     later knmatch/fknmatch/batch/shard
-//                                     queries (each prints its RecallBound)
-//   approx sample <f> [seed]          sampled-columns variant: search a
-//                                     seeded fraction f of dimensions,
-//                                     re-rank survivors exactly
-//   approx off                        back to the exact algorithm
-//   approx status                     show the armed policy
-//   packed on|off                     bit-packed compressed columns for
-//                                     the in-memory exact AD path
-//                                     (bit-identical answers)
 //   shard on [shards] [hash|range|kmeans] [replicas]
 //                                     build a scatter-gather ShardRouter
 //                                     over the current dataset
@@ -72,13 +61,13 @@
 //
 // Non-interactive subcommands (docs/serving.md):
 //   knmatch_cli serve [--port <p>] [--threads <t>] [--deadline-ms <ms>]
-//       [--drain-timeout-ms <ms>] [--shards <s>] [--approx-eps <e>]
-//       [--points <c>] [--dims <d>] [--port-file <path>]
+//       [--drain-timeout-ms <ms>] [--shards <s>] [--points <c>]
+//       [--dims <d>] [--port-file <path>]
 //     generates a dataset, serves it over HTTP on 127.0.0.1, and exits
 //     0 once drained (POST /admin/drain or SIGINT/SIGTERM).
 //   knmatch_cli loadgen --port <p> [--rps <r>] [--rps-end <r>]
 //       [--duration-s <s>] [--connections <c>] [--deadline-ms <ms>]
-//       [--fault-fraction <f>] [--approx-fraction <f>] ...
+//       [--fault-fraction <f>] ...
 //     open-loop load (Poisson arrivals, Zipfian query mix, RPS ramp,
 //     client-side fault injection); prints a one-line JSON report.
 //
@@ -92,16 +81,9 @@
 // session (equivalent to `cache on`); `cache stats` shows hit ratios
 // and invalidation counts as you insert points.
 // --shards/--partitioner/--replicas preset the `shard on` defaults.
-// --epsilon <e> and --column-sample <f> preset the approximate policy
-// (equivalent to `approx eps` / `approx sample`): knmatch, fknmatch,
-// batch, and shard queries then run approximately and print the
-// per-query recall bound next to their answers. --packed enables the
-// bit-packed compressed columns for the exact in-memory AD path.
 //
 // Try: printf 'gen coil\nknmatch 30 4 42\nknn 10 42\nquit\n' | ./knmatch_cli
 // Try: ./knmatch_cli --deadline-ms 2 --budget 100000
-// Try: printf 'gen uniform 20000 16\nknmatch 8 10 7\nquit\n' |
-//        ./knmatch_cli --epsilon 0.1
 
 #include <atomic>
 #include <chrono>
@@ -125,10 +107,9 @@ class Cli {
  public:
   Cli(size_t threads, double deadline_ms, uint64_t attr_budget,
       bool cache_on, size_t shards, shard::Partitioner partitioner,
-      size_t replicas, const ApproxPolicy& approx, bool packed)
+      size_t replicas)
       : threads_(threads), deadline_ms_(deadline_ms), cache_on_(cache_on),
-        shards_(shards), replicas_(replicas), partitioner_(partitioner),
-        approx_(approx), packed_(packed) {
+        shards_(shards), replicas_(replicas), partitioner_(partitioner) {
     budgets_.max_attributes = attr_budget;
   }
 
@@ -171,7 +152,6 @@ class Cli {
     engine_ = std::make_unique<SimilarityEngine>(std::move(db));
     if (injector_ != nullptr) engine_->SetFaultInjector(injector_.get());
     if (cache_on_) engine_->EnableCache(cache_config_);
-    if (packed_) engine_->EnablePackedColumns();
     std::printf("dataset: %s  (%zu points x %zu dims%s)\n",
                 engine_->dataset().name().c_str(),
                 engine_->dataset().size(), engine_->dataset().dims(),
@@ -195,37 +175,13 @@ class Cli {
     }
   }
 
-  // Arms `ctx` with the session's governance limits and approximate
-  // policy; returns nullptr (run ungoverned and exact) when none are
-  // set. The policy travels on the context so it reaches entry points
-  // without an explicit ApproxPolicy parameter (the shard router).
+  // Arms `ctx` with the session's governance limits; returns nullptr
+  // (run ungoverned) when none are set.
   QueryContext* ArmContext(QueryContext* ctx) {
-    if (deadline_ms_ <= 0 && !budgets_.any() && approx_.exact()) {
-      return nullptr;
-    }
+    if (deadline_ms_ <= 0 && !budgets_.any()) return nullptr;
     if (deadline_ms_ > 0) ctx->set_deadline_in_ms(deadline_ms_);
-    if (!approx_.exact()) ctx->set_approx_policy(approx_);
     ctx->budgets() = budgets_;
     return ctx;
-  }
-
-  // Prints the recall accounting attached to an approximate answer
-  // (silent for exact answers, so exact sessions look unchanged).
-  void PrintBound(const RecallBound& bound) {
-    if (bound.guaranteed >= 1.0 && !bound.early_stopped && !bound.sampled) {
-      return;
-    }
-    std::printf("  recall: guaranteed >= %.2f", bound.guaranteed);
-    if (bound.epsilon > 0) {
-      std::printf("  (epsilon %.2f%s)", bound.epsilon,
-                  bound.early_stopped ? ", early-stopped" : "");
-    }
-    if (bound.sampled) {
-      std::printf("  (sampled %.0f%% of dims; no sound bound — "
-                  "measured recall is the quality signal)",
-                  100 * bound.column_sample);
-    }
-    std::printf("\n");
   }
 
   // Prints a query's error status and, if it was a governance trip,
@@ -271,8 +227,6 @@ class Cli {
           "trace on|off |\n"
           "govern deadline <ms> | govern budget attrs|pages|scratch <v> | "
           "govern off | govern status |\n"
-          "approx eps <e> | approx sample <f> [seed] | approx off | "
-          "approx status | packed on|off |\n"
           "shard on [shards] [hash|range|kmeans] [replicas] | "
           "shard query <n> <k> <pid> |\n"
           "shard fquery <n0> <n1> <k> <pid> | shard stats | "
@@ -458,70 +412,6 @@ class Cli {
                       budgets_.max_scratch_bytes);
         }
         std::printf("\n");
-      }
-      return true;
-    }
-
-    if (cmd == "approx") {
-      std::string what;
-      in >> what;
-      if (what == "eps") {
-        double e = 0;
-        if (!(in >> e) || e < 0) {
-          std::printf("usage: approx eps <e>   (0 = exact)\n");
-          return true;
-        }
-        approx_.epsilon = e;
-      } else if (what == "sample") {
-        double f = 0;
-        if (!(in >> f) || f <= 0 || f > 1) {
-          std::printf("usage: approx sample <f> [seed]   (0 < f <= 1; "
-                      "1 = all dimensions)\n");
-          return true;
-        }
-        approx_.column_sample = f;
-        uint64_t seed = 0;
-        if (in >> seed) approx_.sample_seed = seed;
-      } else if (what == "off") {
-        approx_ = ApproxPolicy{};
-      } else if (what != "status") {
-        std::printf("usage: approx eps <e> | approx sample <f> [seed] | "
-                    "approx off | approx status\n");
-        return true;
-      }
-      if (approx_.exact()) {
-        std::printf("approximation off: queries run exact\n");
-      } else {
-        std::printf("approximation armed:");
-        if (approx_.epsilon > 0) {
-          std::printf(" (1+%.2f) early stop", approx_.epsilon);
-        }
-        if (approx_.sampled()) {
-          std::printf("%s%.0f%% of dimensions (seed %llu), exact re-rank",
-                      approx_.epsilon > 0 ? " | " : " ",
-                      100 * approx_.column_sample,
-                      static_cast<unsigned long long>(approx_.sample_seed));
-        }
-        std::printf("  — answers print their recall bound\n");
-      }
-      return true;
-    }
-
-    if (cmd == "packed") {
-      std::string state;
-      in >> state;
-      if (state == "on") {
-        packed_ = true;
-        if (engine_ != nullptr) engine_->EnablePackedColumns();
-        std::printf("packed columns on: exact in-memory AD decodes "
-                    "bit-packed blocks (answers bit-identical; survives "
-                    "gen/load)\n");
-      } else if (state == "off") {
-        packed_ = false;
-        if (engine_ != nullptr) engine_->DisablePackedColumns();
-        std::printf("packed columns off\n");
-      } else {
-        std::printf("usage: packed on|off\n");
       }
       return true;
     }
@@ -727,7 +617,6 @@ class Cli {
         size_t r = 0;
         if (in >> r && r > 0) opts.replicas = r;
         opts.threads = threads_;
-        opts.packed_columns = packed_;
         router_ = std::make_unique<shard::ShardRouter>(
             engine_->dataset(), opts);
         if (cache_on_) router_->EnableCache(cache_config_);
@@ -771,7 +660,6 @@ class Cli {
             PrintStatus(r.status(), pctx);
             return true;
           }
-          result.bound = r.value().bound;
           result.per_n_sets.push_back(std::move(r.value().matches));
         } else {
           auto r = router_->FrequentKnMatch(q, n0, n1, k, {}, pctx);
@@ -795,7 +683,6 @@ class Cli {
           }
           std::printf("\n");
         }
-        PrintBound(result.bound);
         const shard::DispatchReport& d = router_->last_dispatch();
         std::printf("  %zu shard(s) dispatched", d.shards_dispatched);
         if (d.cache_hit) std::printf(", served from cache");
@@ -1019,7 +906,6 @@ class Cli {
       std::printf("  (%llu attributes retrieved)\n",
                   static_cast<unsigned long long>(
                       r.value().attributes_retrieved));
-      PrintBound(r.value().bound);
       MaybePrintTrace();
       return true;
     }
@@ -1045,7 +931,6 @@ class Cli {
                     r.value().matches[i].pid, r.value().frequencies[i],
                     n1 - n0 + 1);
       }
-      PrintBound(r.value().bound);
       MaybePrintTrace();
       return true;
     }
@@ -1194,7 +1079,6 @@ class Cli {
     // session deadline doubles as the whole batch's deadline.
     if (deadline_ms_ > 0) request.options.deadline_ms = deadline_ms_;
     request.options.budgets = budgets_;
-    request.options.approx = approx_;
     for (const PointId pid :
          eval::SampleQueryPids(engine_->dataset(), q, /*seed=*/4242)) {
       auto p = engine_->dataset().point(pid);
@@ -1206,7 +1090,6 @@ class Cli {
     uint64_t attributes = 0;
     size_t answered = 0;
     size_t skipped = 0;
-    double weakest_bound = 1.0;
     auto tally = [&](const std::vector<Status>& statuses) {
       for (const Status& s : statuses) {
         if (s.ok()) {
@@ -1236,9 +1119,6 @@ class Cli {
       attributes = r.value().attributes_retrieved;
       for (const auto& result : r.value().results) {
         for (const Neighbor& nb : result.matches) checksum += nb.pid;
-        if (result.bound.guaranteed < weakest_bound) {
-          weakest_bound = result.bound.guaranteed;
-        }
       }
     } else {
       auto r = engine_->FrequentKnMatchBatch(request, n0, n1, k);
@@ -1250,9 +1130,6 @@ class Cli {
       attributes = r.value().attributes_retrieved;
       for (const auto& result : r.value().results) {
         for (const Neighbor& nb : result.matches) checksum += nb.pid;
-        if (result.bound.guaranteed < weakest_bound) {
-          weakest_bound = result.bound.guaranteed;
-        }
       }
     }
     const double seconds =
@@ -1271,10 +1148,6 @@ class Cli {
     if (attributes > 0) {
       std::printf("  %llu attributes retrieved in total\n",
                   static_cast<unsigned long long>(attributes));
-    }
-    if (!approx_.exact() && what != "knn" && answered > 0) {
-      std::printf("  recall: weakest per-query bound >= %.2f\n",
-                  weakest_bound);
     }
     std::printf("  checksum %llu\n",
                 static_cast<unsigned long long>(checksum));
@@ -1304,10 +1177,6 @@ class Cli {
   size_t shards_ = 4;
   size_t replicas_ = 1;
   shard::Partitioner partitioner_ = shard::Partitioner::kHash;
-  // Session approximate policy ('approx' / --epsilon / --column-sample)
-  // and compressed-column toggle; both survive gen/load.
-  ApproxPolicy approx_;
-  bool packed_ = false;
 };
 
 // --- Non-interactive subcommands: serve / loadgen (docs/serving.md) ---
@@ -1326,7 +1195,6 @@ int RunServeMode(int argc, char** argv) {
   size_t dims = 8;
   uint64_t seed = 1;
   size_t shards = 0;
-  double approx_eps = 0;
   std::string port_file;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1346,8 +1214,6 @@ int RunServeMode(int argc, char** argv) {
           static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--shards" && i + 1 < argc) {
       shards = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--approx-eps" && i + 1 < argc) {
-      approx_eps = std::strtod(argv[++i], nullptr);
     } else if (arg == "--points" && i + 1 < argc) {
       points = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--dims" && i + 1 < argc) {
@@ -1362,8 +1228,7 @@ int RunServeMode(int argc, char** argv) {
           "usage: %s serve [--port <p>] [--threads <t>] "
           "[--deadline-ms <ms>] [--drain-timeout-ms <ms>] "
           "[--idle-timeout-ms <ms>] [--max-inflight <r>] [--shards <s>] "
-          "[--approx-eps <e>] [--points <c>] [--dims <d>] [--seed <s>] "
-          "[--port-file <path>]\n",
+          "[--points <c>] [--dims <d>] [--seed <s>] [--port-file <path>]\n",
           argv[0]);
       return 1;
     }
@@ -1375,7 +1240,6 @@ int RunServeMode(int argc, char** argv) {
   if (shards > 0) {
     shard::RouterOptions ropts;
     ropts.shards = shards;
-    ropts.approx.epsilon = approx_eps;
     router = std::make_unique<shard::ShardRouter>(db, ropts);
   }
   serve::HttpServer server(&engine, options, router.get());
@@ -1444,10 +1308,6 @@ int RunLoadgenMode(int argc, char** argv) {
       options.k = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--n" && i + 1 < argc) {
       options.n = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--approx-fraction" && i + 1 < argc) {
-      options.approx_fraction = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--approx-eps" && i + 1 < argc) {
-      options.epsilon = std::strtod(argv[++i], nullptr);
     } else if (arg == "--fault-fraction" && i + 1 < argc) {
       options.fault_fraction = std::strtod(argv[++i], nullptr);
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -1468,7 +1328,6 @@ int RunLoadgenMode(int argc, char** argv) {
           "usage: %s loadgen --port <p> [--rps <r>] [--rps-end <r>] "
           "[--duration-s <s>] [--connections <c>] [--deadline-ms <ms>] "
           "[--type knmatch|fknmatch|knn] [--k <k>] [--n <n>] "
-          "[--approx-fraction <f>] [--approx-eps <e>] "
           "[--fault-fraction <f>] [--seed <s>] [--points <c>] "
           "[--dims <d>] [--data-seed <s>] [--pool <p>] [--skew <z>]\n",
           argv[0]);
@@ -1533,8 +1392,6 @@ int main(int argc, char** argv) {
   size_t replicas = 1;
   knmatch::shard::Partitioner partitioner =
       knmatch::shard::Partitioner::kHash;
-  knmatch::ApproxPolicy approx;
-  bool packed = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
@@ -1558,28 +1415,16 @@ int main(int argc, char** argv) {
         return 1;
       }
       partitioner = p.value();
-    } else if (arg == "--epsilon" && i + 1 < argc) {
-      approx.epsilon = std::strtod(argv[++i], nullptr);
-      if (approx.epsilon < 0) approx.epsilon = 0;
-    } else if (arg == "--column-sample" && i + 1 < argc) {
-      approx.column_sample = std::strtod(argv[++i], nullptr);
-      if (approx.column_sample <= 0 || approx.column_sample > 1) {
-        std::fprintf(stderr, "--column-sample wants 0 < f <= 1\n");
-        return 1;
-      }
-    } else if (arg == "--packed") {
-      packed = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads <t>] [--deadline-ms <ms>] "
                    "[--budget <attrs>] [--cache] [--shards <s>] "
-                   "[--partitioner hash|range|kmeans] [--replicas <r>] "
-                   "[--epsilon <e>] [--column-sample <f>] [--packed]\n",
+                   "[--partitioner hash|range|kmeans] [--replicas <r>]\n",
                    argv[0]);
       return 1;
     }
   }
   return Cli(threads, deadline_ms, attr_budget, cache_on, shards,
-             partitioner, replicas, approx, packed)
+             partitioner, replicas)
       .Run();
 }

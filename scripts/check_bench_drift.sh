@@ -18,24 +18,17 @@
 # on drift: the ratio is an A/B on the same host seconds apart, so it
 # stays meaningful on noisy hosts where absolute QPS wobbles.
 #
-# The approx_frontier lane gates on recall soundness: the benchmark
-# aborts on any per-query bound violation, and the gate additionally
-# requires every recorded sweep point to carry recall_ok. The
-# packed_columns lane gates on its bit-identity checksum plus its own
-# packed_qps drift against the committed baseline.
-#
 # The open_loop_serving lane (bench_load, recorded in the sibling
 # BENCH_load.json) gates on its attestations: mirror_ok (served answers
 # bit-identical to direct engine calls) and fd_leak_ok (no fd leaked
 # across the faulted load + drain), plus progress (ok > 0).
 #
 # --strict: a *gated* lane (zipfian_repeat, ingest_under_load,
-# sharded_scatter_gather, approx_frontier, packed_columns,
-# open_loop_serving) missing from the fresh BENCH_throughput.json /
-# BENCH_load.json, or a fresh lane absent from the committed baseline,
-# fails the run instead of WARN-passing. Use it once a lane's baseline
-# is committed — silence then means the lane silently disappeared, not
-# that it is new.
+# sharded_scatter_gather, open_loop_serving) missing from the fresh
+# BENCH_throughput.json / BENCH_load.json, or a fresh lane absent from
+# the committed baseline, fails the run instead of WARN-passing. Use
+# it once a lane's baseline is committed — silence then means the lane
+# silently disappeared, not that it is new.
 #
 # --gate-only <json>: run only the lane gates against an existing
 # BENCH_throughput.json (no build, no benchmark run, no history
@@ -88,8 +81,8 @@ missing_gated_lane() {
 }
 
 # --- Lane gates over one BENCH_throughput.json (fresh run or the file
-# handed to --gate-only). Legacy lanes keep their always-fail contract;
-# the approx/packed lanes route absence through missing_gated_lane.
+# handed to --gate-only). Every lane here fails when missing, in both
+# modes.
 gate_lanes() {
   local json=$1
 
@@ -149,48 +142,6 @@ gate_lanes() {
   done < <(grep -o '"shards": [0-9]*, "sharded_qps": [0-9.]*' "$json" |
     sed 's/"shards": \([0-9]*\), "sharded_qps": \([0-9.]*\)/\1 \2/')
 
-  # The approximate frontier reported sound recall at every epsilon.
-  # The benchmark exits nonzero on any measured-recall-below-bound
-  # query; recall_ok in the JSON is its per-sweep-point attestation, so
-  # a sweep point without it (or a doctored file) fails here.
-  if ! grep -q '"name": "approx_frontier"' "$json"; then
-    missing_gated_lane approx_frontier "$json" || return 1
-  else
-    local sweep_points sound_points
-    sweep_points=$(grep -o '"epsilon": [0-9.]*, "approx_qps":' "$json" |
-      wc -l)
-    sound_points=$(grep -o '"recall_ok": true' "$json" | wc -l)
-    if [[ "$sweep_points" -eq 0 || \
-          "$sweep_points" != "$sound_points" ]]; then
-      echo "FAIL [lane approx_frontier]: ${sound_points}/${sweep_points}" \
-           "sweep points attest recall_ok in $json" >&2
-      return 1
-    fi
-    echo "OK: approx_frontier all ${sweep_points} sweep points report" \
-         "measured recall >= per-query bound"
-  fi
-
-  # The packed-columns lane stayed bit-identical to the flat columns.
-  if ! grep -q '"name": "packed_columns"' "$json"; then
-    missing_gated_lane packed_columns "$json" || return 1
-  else
-    if ! grep -o '"name": "packed_columns".*}' "$json" |
-        grep -q '"checksum_ok": true'; then
-      echo "FAIL [lane packed_columns]: checksum attestation missing" \
-           "from $json" >&2
-      return 1
-    fi
-    local packed_qps
-    packed_qps=$(grep -o '"packed_qps": [0-9.]*' "$json" |
-      head -1 | awk '{print $2}')
-    if awk -v q="${packed_qps:-0}" 'BEGIN{exit !(q <= 0)}'; then
-      echo "FAIL [lane packed_columns]: no progress" \
-           "(${packed_qps:-missing} q/s)" >&2
-      return 1
-    fi
-    echo "OK: packed_columns exact over bit-packed blocks at" \
-         "${packed_qps} q/s (checksum vs flat columns ok)"
-  fi
   return 0
 }
 
@@ -351,35 +302,6 @@ if [[ "$have_baseline" == 1 ]]; then
     fi
   done < <(sequential_qps BENCH_throughput.json)
 
-  # packed_columns drifts on its own field name (the lane is exact, so
-  # it owes the same +/-10% its flat siblings do, but packed_qps keeps
-  # it out of the sequential loop above by construction).
-  base_packed=$(grep -o '"packed_qps": [0-9.]*' "$baseline_json" |
-    head -1 | awk '{print $2}')
-  new_packed=$(grep -o '"packed_qps": [0-9.]*' BENCH_throughput.json |
-    head -1 | awk '{print $2}')
-  if [[ -n "$base_packed" && -n "$new_packed" ]]; then
-    drift=$(awk -v b="$base_packed" -v n="$new_packed" \
-      'BEGIN{printf "%+.1f", (n - b) / b * 100}')
-    if awk -v b="$base_packed" -v n="$new_packed" -v t="$QPS_DRIFT" \
-        'BEGIN{d = (n - b) / b * 100; if (d < 0) d = -d; exit !(d > t)}'; then
-      echo "FAIL [lane packed_columns]: packed QPS drifted ${drift}%" \
-           "(${base_packed} -> ${new_packed}, budget +/-${QPS_DRIFT}%)" >&2
-      drift_fail=1
-    else
-      echo "OK: packed_columns packed QPS ${base_packed} ->" \
-           "${new_packed} (${drift}%, budget +/-${QPS_DRIFT}%)"
-    fi
-  elif [[ -n "$new_packed" ]]; then
-    if [[ "$STRICT" == 1 ]]; then
-      echo "FAIL [lane packed_columns]: no recorded packed_qps" \
-           "baseline (--strict)" >&2
-      drift_fail=1
-    else
-      echo "WARN [lane packed_columns]: no recorded packed_qps" \
-           "baseline; recording ${new_packed} q/s and passing"
-    fi
-  fi
   if [[ "$drift_fail" != 0 ]]; then
     exit 1
   fi

@@ -18,7 +18,7 @@ cmake --build "$BUILD_DIR" --target knmatch_tests -j"$(nproc)"
 # warning; the filter covers every test that touches the exec layer.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   "$BUILD_DIR"/tests/knmatch_tests \
-  --gtest_filter='ThreadPool*:AdCursorHeap*:AdKernel*:AdScratch*:Batch*:EngineConcurrency*:Obs*:Governance*:Cache*:Shard*:Approx*:Packed*:Serve*'
+  --gtest_filter='ThreadPool*:AdCursorHeap*:AdKernel*:AdScratch*:Batch*:EngineConcurrency*:Obs*:Governance*:Cache*:Shard*:Packed*:Serve*'
 
 # The live-ingest reader/writer soak: N snapshot-pinning query threads
 # race one WAL-committing writer for KNMATCH_SOAK_MS (longer here than

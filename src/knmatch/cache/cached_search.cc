@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "knmatch/core/ad_scratch.h"
-#include "knmatch/core/query_context.h"
 #include "knmatch/obs/catalog.h"
 
 namespace knmatch::cache {
@@ -20,18 +19,6 @@ void CountWarm(bool hit) {
   }
 }
 
-// Mirrors the searcher's own resolution (explicit argument wins, else
-// the context's policy) so the cache key always matches the policy the
-// kernel will actually run under.
-const ApproxPolicy& EffectivePolicy(const ApproxPolicy& approx,
-                                    const QueryContext* ctx) {
-  if (!approx.exact()) return approx;
-  if (ctx != nullptr && !ctx->approx_policy().exact()) {
-    return ctx->approx_policy();
-  }
-  return approx;
-}
-
 }  // namespace
 
 Result<KnMatchResult> CachedKnMatch(const CacheBinding& binding,
@@ -39,22 +26,19 @@ Result<KnMatchResult> CachedKnMatch(const CacheBinding& binding,
                                     std::span<const Value> query, size_t n,
                                     size_t k, std::span<const Value> weights,
                                     internal::AdScratch* scratch,
-                                    QueryContext* ctx,
-                                    const ApproxPolicy& approx) {
+                                    QueryContext* ctx) {
   QueryResultCache* cache = binding.cache;
   if (cache == nullptr) {
-    return searcher.KnMatch(query, n, k, weights, scratch, ctx, approx);
+    return searcher.KnMatch(query, n, k, weights, scratch, ctx);
   }
-  const ApproxPolicy& policy = EffectivePolicy(approx, ctx);
   if (std::optional<KnMatchResult> hit =
-          cache->LookupKnMatch(binding.epoch, query, n, k, weights, policy);
+          cache->LookupKnMatch(binding.epoch, query, n, k, weights);
       hit.has_value()) {
     return std::move(*hit);
   }
-  // Warm-start only ungoverned exact queries: the seeded path has no
-  // trip points, so a deadline/budget context must reach the real
-  // kernel, and approximate policies must not be shaped by seeds.
-  if (ctx == nullptr && policy.exact() && cache->config().warm_radius > 0) {
+  // Warm-start only ungoverned queries: the seeded path has no trip
+  // points, so a deadline/budget context must reach the real kernel.
+  if (ctx == nullptr && cache->config().warm_radius > 0) {
     if (std::optional<WarmSeeds> seeds = cache->FindWarmSeeds(
             binding.epoch, CachedMethod::kKnMatch, query, n, n, k, weights);
         seeds.has_value()) {
@@ -68,10 +52,9 @@ Result<KnMatchResult> CachedKnMatch(const CacheBinding& binding,
     }
   }
   Result<KnMatchResult> r =
-      searcher.KnMatch(query, n, k, weights, scratch, ctx, approx);
+      searcher.KnMatch(query, n, k, weights, scratch, ctx);
   if (r.ok()) {
-    cache->StoreKnMatch(binding.epoch, query, n, k, weights, r.value(),
-                        policy);
+    cache->StoreKnMatch(binding.epoch, query, n, k, weights, r.value());
   }
   return r;
 }
@@ -80,19 +63,17 @@ Result<FrequentKnMatchResult> CachedFrequentKnMatch(
     const CacheBinding& binding, const AdSearcher& searcher,
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
     std::span<const Value> weights, internal::AdScratch* scratch,
-    QueryContext* ctx, const ApproxPolicy& approx) {
+    QueryContext* ctx) {
   QueryResultCache* cache = binding.cache;
   if (cache == nullptr) {
-    return searcher.FrequentKnMatch(query, n0, n1, k, weights, scratch, ctx,
-                                    approx);
+    return searcher.FrequentKnMatch(query, n0, n1, k, weights, scratch, ctx);
   }
-  const ApproxPolicy& policy = EffectivePolicy(approx, ctx);
   if (std::optional<FrequentKnMatchResult> hit = cache->LookupFrequent(
-          binding.epoch, query, n0, n1, k, weights, policy);
+          binding.epoch, query, n0, n1, k, weights);
       hit.has_value()) {
     return std::move(*hit);
   }
-  if (ctx == nullptr && policy.exact() && cache->config().warm_radius > 0) {
+  if (ctx == nullptr && cache->config().warm_radius > 0) {
     if (std::optional<WarmSeeds> seeds = cache->FindWarmSeeds(
             binding.epoch, CachedMethod::kFrequentKnMatch, query, n0, n1, k,
             weights);
@@ -108,11 +89,9 @@ Result<FrequentKnMatchResult> CachedFrequentKnMatch(
     }
   }
   Result<FrequentKnMatchResult> r =
-      searcher.FrequentKnMatch(query, n0, n1, k, weights, scratch, ctx,
-                               approx);
+      searcher.FrequentKnMatch(query, n0, n1, k, weights, scratch, ctx);
   if (r.ok()) {
-    cache->StoreFrequent(binding.epoch, query, n0, n1, k, weights, r.value(),
-                         policy);
+    cache->StoreFrequent(binding.epoch, query, n0, n1, k, weights, r.value());
   }
   return r;
 }

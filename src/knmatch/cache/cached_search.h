@@ -32,27 +32,19 @@ struct CacheBinding {
 /// and warm results are stored. Answers are bit-identical to the cold
 /// call in every branch (see QueryResultCache and core/ad_warm.h for
 /// the respective arguments).
-///
-/// The effective approx policy (the explicit `approx` argument, else a
-/// policy attached to `ctx`, else exact) is folded into the cache key,
-/// so an approximate answer is only ever served to a request asking
-/// for that same policy; the warm-start probe additionally runs only
-/// under the exact policy (approximate answers must neither seed nor
-/// be seeded).
 Result<KnMatchResult> CachedKnMatch(const CacheBinding& binding,
                                     const AdSearcher& searcher,
                                     std::span<const Value> query, size_t n,
                                     size_t k, std::span<const Value> weights,
                                     internal::AdScratch* scratch,
-                                    QueryContext* ctx,
-                                    const ApproxPolicy& approx = {});
+                                    QueryContext* ctx);
 
 /// Cache-through frequent k-n-match; same contract as CachedKnMatch.
 Result<FrequentKnMatchResult> CachedFrequentKnMatch(
     const CacheBinding& binding, const AdSearcher& searcher,
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
     std::span<const Value> weights, internal::AdScratch* scratch,
-    QueryContext* ctx, const ApproxPolicy& approx = {});
+    QueryContext* ctx);
 
 /// Cache-through exact kNN by scan. Exact hits only: a neighboring
 /// query's k-n-match answer pids say nothing useful about a metric

@@ -55,21 +55,10 @@ size_t NeighborVecBytes(const std::vector<Neighbor>& v) {
 
 }  // namespace
 
-void QueryResultCache::Key::SetPolicy(const ApproxPolicy& approx) {
-  epsilon = approx.epsilon;
-  // Normalized so every way of spelling "no sampling" (1.0, 1.5, any
-  // seed) maps to the same key bytes and cannot cause spurious misses.
-  column_sample = approx.sampled() ? approx.column_sample : 1.0;
-  sample_seed = approx.sampled() ? approx.sample_seed : 0;
-}
-
 bool QueryResultCache::Key::operator==(const Key& other) const {
   return epoch == other.epoch && method == other.method &&
          metric == other.metric && n0 == other.n0 && n1 == other.n1 &&
-         k == other.k && epsilon == other.epsilon &&
-         column_sample == other.column_sample &&
-         sample_seed == other.sample_seed && query == other.query &&
-         weights == other.weights;
+         k == other.k && query == other.query && weights == other.weights;
 }
 
 uint64_t QueryResultCache::HashKey(const Key& key) {
@@ -80,9 +69,6 @@ uint64_t QueryResultCache::HashKey(const Key& key) {
   HashPod(&h, key.n0);
   HashPod(&h, key.n1);
   HashPod(&h, key.k);
-  HashPod(&h, key.epsilon);
-  HashPod(&h, key.column_sample);
-  HashPod(&h, key.sample_seed);
   const uint64_t qsize = key.query.size();
   HashPod(&h, qsize);
   HashBytes(&h, key.query.data(), key.query.size() * sizeof(Value));
@@ -254,13 +240,12 @@ void QueryResultCache::StoreEntry(
 
 std::optional<KnMatchResult> QueryResultCache::LookupKnMatch(
     uint64_t epoch, std::span<const Value> query, size_t n, size_t k,
-    std::span<const Value> weights, const ApproxPolicy& approx) const {
+    std::span<const Value> weights) const {
   Key key;
   key.epoch = epoch;
   key.method = CachedMethod::kKnMatch;
   key.n0 = key.n1 = static_cast<uint32_t>(n);
   key.k = static_cast<uint32_t>(k);
-  key.SetPolicy(approx);
   key.query.assign(query.begin(), query.end());
   key.weights.assign(weights.begin(), weights.end());
   auto hit = LookupEntry(key);
@@ -270,15 +255,13 @@ std::optional<KnMatchResult> QueryResultCache::LookupKnMatch(
 
 std::optional<FrequentKnMatchResult> QueryResultCache::LookupFrequent(
     uint64_t epoch, std::span<const Value> query, size_t n0, size_t n1,
-    size_t k, std::span<const Value> weights,
-    const ApproxPolicy& approx) const {
+    size_t k, std::span<const Value> weights) const {
   Key key;
   key.epoch = epoch;
   key.method = CachedMethod::kFrequentKnMatch;
   key.n0 = static_cast<uint32_t>(n0);
   key.n1 = static_cast<uint32_t>(n1);
   key.k = static_cast<uint32_t>(k);
-  key.SetPolicy(approx);
   key.query.assign(query.begin(), query.end());
   key.weights.assign(weights.begin(), weights.end());
   auto hit = LookupEntry(key);
@@ -304,14 +287,12 @@ std::optional<KnMatchResult> QueryResultCache::LookupKnn(
 void QueryResultCache::StoreKnMatch(uint64_t epoch,
                                     std::span<const Value> query, size_t n,
                                     size_t k, std::span<const Value> weights,
-                                    const KnMatchResult& result,
-                                    const ApproxPolicy& approx) {
+                                    const KnMatchResult& result) {
   Key key;
   key.epoch = epoch;
   key.method = CachedMethod::kKnMatch;
   key.n0 = key.n1 = static_cast<uint32_t>(n);
   key.k = static_cast<uint32_t>(k);
-  key.SetPolicy(approx);
   key.query.assign(query.begin(), query.end());
   key.weights.assign(weights.begin(), weights.end());
   StoreEntry(std::move(key), result);
@@ -321,15 +302,13 @@ void QueryResultCache::StoreFrequent(uint64_t epoch,
                                      std::span<const Value> query, size_t n0,
                                      size_t n1, size_t k,
                                      std::span<const Value> weights,
-                                     const FrequentKnMatchResult& result,
-                                     const ApproxPolicy& approx) {
+                                     const FrequentKnMatchResult& result) {
   Key key;
   key.epoch = epoch;
   key.method = CachedMethod::kFrequentKnMatch;
   key.n0 = static_cast<uint32_t>(n0);
   key.n1 = static_cast<uint32_t>(n1);
   key.k = static_cast<uint32_t>(k);
-  key.SetPolicy(approx);
   key.query.assign(query.begin(), query.end());
   key.weights.assign(weights.begin(), weights.end());
   StoreEntry(std::move(key), result);
@@ -359,9 +338,6 @@ std::optional<WarmSeeds> QueryResultCache::FindWarmSeeds(
     for (const Entry& e : shard.lru) {
       if (++examined > config_.warm_scan_limit) break;
       const Key& ek = e.key;
-      // Approximate entries may be missing true neighbors; letting one
-      // seed an exact search would silently shape an exact answer.
-      if (!ek.exact_policy()) continue;
       if (ek.epoch != epoch || ek.method != method ||
           ek.n0 != static_cast<uint32_t>(n0) ||
           ek.n1 != static_cast<uint32_t>(n1) ||

@@ -117,18 +117,12 @@ class QueryResultCache {
 
   // --- Exact-hit lookups. A hit refreshes the entry's LRU position
   // and returns a copy of the stored result; a miss returns nullopt.
-  // The approx policy is part of the key: an answer computed under
-  // (epsilon, column_sample) only ever serves a request asking for
-  // exactly that policy — an approximate entry can never answer an
-  // exact request, nor the reverse.
   std::optional<KnMatchResult> LookupKnMatch(
       uint64_t epoch, std::span<const Value> query, size_t n, size_t k,
-      std::span<const Value> weights,
-      const ApproxPolicy& approx = {}) const;
+      std::span<const Value> weights) const;
   std::optional<FrequentKnMatchResult> LookupFrequent(
       uint64_t epoch, std::span<const Value> query, size_t n0, size_t n1,
-      size_t k, std::span<const Value> weights,
-      const ApproxPolicy& approx = {}) const;
+      size_t k, std::span<const Value> weights) const;
   std::optional<KnMatchResult> LookupKnn(uint64_t epoch,
                                          std::span<const Value> query,
                                          size_t k, Metric metric) const;
@@ -137,13 +131,11 @@ class QueryResultCache {
   // with the same key) and evict from the LRU tail if over budget.
   void StoreKnMatch(uint64_t epoch, std::span<const Value> query, size_t n,
                     size_t k, std::span<const Value> weights,
-                    const KnMatchResult& result,
-                    const ApproxPolicy& approx = {});
+                    const KnMatchResult& result);
   void StoreFrequent(uint64_t epoch, std::span<const Value> query,
                      size_t n0, size_t n1, size_t k,
                      std::span<const Value> weights,
-                     const FrequentKnMatchResult& result,
-                     const ApproxPolicy& approx = {});
+                     const FrequentKnMatchResult& result);
   void StoreKnn(uint64_t epoch, std::span<const Value> query, size_t k,
                 Metric metric, const KnMatchResult& result);
 
@@ -152,10 +144,7 @@ class QueryResultCache {
   /// weights) shape whose cached query lies within
   /// config().warm_radius of `query` in L-infinity. Returns the
   /// entry's answer-set pids (deduplicated); nullopt when the radius
-  /// is 0 or nothing qualifies within the scan limit. Only entries
-  /// computed under the exact policy qualify: an approximate entry's
-  /// answer set may be missing true neighbors, so it must never seed
-  /// (and thereby silently shape) an exact search.
+  /// is 0 or nothing qualifies within the scan limit.
   std::optional<WarmSeeds> FindWarmSeeds(
       uint64_t epoch, CachedMethod method, std::span<const Value> query,
       size_t n0, size_t n1, size_t k,
@@ -184,22 +173,8 @@ class QueryResultCache {
     uint32_t n0 = 0;
     uint32_t n1 = 0;
     uint32_t k = 0;
-    /// Approx policy the entry was computed under. Exact entries carry
-    /// (0, 1, 0); the sample seed is normalized to 0 whenever sampling
-    /// is off so an explicit seed on a non-sampling policy cannot cause
-    /// spurious misses.
-    double epsilon = 0;
-    double column_sample = 1.0;
-    uint64_t sample_seed = 0;
     std::vector<Value> query;
     std::vector<Value> weights;
-
-    bool exact_policy() const {
-      return epsilon == 0 && column_sample >= 1.0;
-    }
-    /// Copies the policy into the key, normalizing the no-sampling
-    /// representations to one canonical form.
-    void SetPolicy(const ApproxPolicy& approx);
 
     bool operator==(const Key& other) const;
   };

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "knmatch/core/ad_approx.h"
 #include "knmatch/core/ad_engine.h"
 #include "knmatch/core/ad_warm.h"
 #include "knmatch/core/nmatch.h"
@@ -33,34 +32,7 @@ void RecordMemoryAdQuery(const internal::AdOutput& out,
           .count()));
 }
 
-// The policy in force for one query: an explicit non-exact `approx`
-// parameter wins; otherwise a non-exact policy on the context applies
-// (the batch/shard paths attach it there); otherwise exact.
-const ApproxPolicy& EffectivePolicy(const ApproxPolicy& approx,
-                                    const QueryContext* ctx) {
-  if (!approx.exact()) return approx;
-  if (ctx != nullptr && !ctx->approx_policy().exact()) {
-    return ctx->approx_policy();
-  }
-  return approx;
-}
-
-void RecordApproxQuery(const internal::AdOutput& out,
-                       const ApproxPolicy& policy) {
-  if (!obs::Enabled() || policy.exact()) return;
-  const obs::Catalog& cat = obs::Cat();
-  if (policy.epsilon > 0) cat.approx_queries_epsilon->Add();
-  if (policy.sampled()) cat.approx_queries_sampled->Add();
-  if (out.bound.early_stopped) cat.approx_early_stops->Add();
-  cat.approx_recall_bound->Observe(
-      static_cast<uint64_t>(out.bound.guaranteed * 100.0));
-}
-
 }  // namespace
-
-void AdSearcher::EnablePackedColumns() {
-  if (!packed_.has_value()) packed_.emplace(columns_);
-}
 
 Status ValidateAdWeights(std::span<const Value> weights, size_t dims) {
   if (weights.empty()) return Status::OK();
@@ -82,40 +54,27 @@ Status ValidateAdWeights(std::span<const Value> weights, size_t dims) {
 Result<KnMatchResult> AdSearcher::KnMatch(
     std::span<const Value> query, size_t n, size_t k,
     std::span<const Value> weights, internal::AdScratch* scratch,
-    QueryContext* ctx, const ApproxPolicy& approx) const {
+    QueryContext* ctx) const {
   Status s =
       ValidateMatchParams(db_.size(), db_.dims(), query.size(), n, n, k);
   if (!s.ok()) return s;
   s = ValidateAdWeights(weights, db_.dims());
   if (!s.ok()) return s;
-  const ApproxPolicy& policy = EffectivePolicy(approx, ctx);
 
   // Memory queries read no pages; re-arm so a context reused after a
   // disk query does not count that query's reads against this one.
   if (ctx != nullptr) ctx->ArmPages(nullptr);
   const auto start = std::chrono::steady_clock::now();
-  internal::AdOutput out;
-  if (policy.sampled()) {
-    out = internal::RunSampledAdSearch(db_, columns_, query, n, n, k,
-                                       weights, policy, scratch, ctx);
-  } else if (packed_.has_value()) {
-    PackedColumnAccessor acc(*packed_);
-    out = internal::RunAdSearch(acc, query, n, n, k, weights, scratch, ctx,
-                                policy);
-  } else {
-    internal::MemoryColumnAccessor acc(columns_);
-    out = internal::RunAdSearch(acc, query, n, n, k, weights, scratch, ctx,
-                                policy);
-  }
+  internal::MemoryColumnAccessor acc(columns_);
+  internal::AdOutput out =
+      internal::RunAdSearch(acc, query, n, n, k, weights, scratch, ctx);
   RecordMemoryAdQuery(out, obs::Cat().queries_knmatch,
                       obs::Cat().latency_knmatch, start);
-  RecordApproxQuery(out, policy);
   if (ctx != nullptr && ctx->tripped()) return ctx->trip_status();
 
   KnMatchResult result;
   result.matches = std::move(out.per_n_sets[0]);
   result.attributes_retrieved = out.attributes_retrieved;
-  result.bound = std::move(out.bound);
   return result;
 }
 
@@ -158,30 +117,18 @@ std::optional<FrequentKnMatchResult> AdSearcher::FrequentKnMatchSeeded(
 Result<FrequentKnMatchResult> AdSearcher::FrequentKnMatch(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
     std::span<const Value> weights, internal::AdScratch* scratch,
-    QueryContext* ctx, const ApproxPolicy& approx) const {
+    QueryContext* ctx) const {
   Status s =
       ValidateMatchParams(db_.size(), db_.dims(), query.size(), n0, n1, k);
   if (!s.ok()) return s;
   s = ValidateAdWeights(weights, db_.dims());
   if (!s.ok()) return s;
-  const ApproxPolicy& policy = EffectivePolicy(approx, ctx);
 
   if (ctx != nullptr) ctx->ArmPages(nullptr);
   const auto start = std::chrono::steady_clock::now();
-  internal::AdOutput out;
-  if (policy.sampled()) {
-    out = internal::RunSampledAdSearch(db_, columns_, query, n0, n1, k,
-                                       weights, policy, scratch, ctx);
-  } else if (packed_.has_value()) {
-    PackedColumnAccessor acc(*packed_);
-    out = internal::RunAdSearch(acc, query, n0, n1, k, weights, scratch,
-                                ctx, policy);
-  } else {
-    internal::MemoryColumnAccessor acc(columns_);
-    out = internal::RunAdSearch(acc, query, n0, n1, k, weights, scratch,
-                                ctx, policy);
-  }
-  RecordApproxQuery(out, policy);
+  internal::MemoryColumnAccessor acc(columns_);
+  internal::AdOutput out =
+      internal::RunAdSearch(acc, query, n0, n1, k, weights, scratch, ctx);
   if (ctx != nullptr && ctx->tripped()) {
     RecordMemoryAdQuery(out, obs::Cat().queries_fknmatch,
                         obs::Cat().latency_fknmatch, start);
@@ -191,7 +138,6 @@ Result<FrequentKnMatchResult> AdSearcher::FrequentKnMatch(
   FrequentKnMatchResult result;
   result.per_n_sets = std::move(out.per_n_sets);
   result.attributes_retrieved = out.attributes_retrieved;
-  result.bound = std::move(out.bound);
   {
     obs::TraceSpan span(obs::Phase::kRank);
     RankByFrequency(k, &result);

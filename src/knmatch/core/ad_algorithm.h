@@ -7,7 +7,6 @@
 #include "knmatch/common/dataset.h"
 #include "knmatch/common/status.h"
 #include "knmatch/core/match_types.h"
-#include "knmatch/core/packed_columns.h"
 #include "knmatch/core/sorted_columns.h"
 
 namespace knmatch {
@@ -64,29 +63,20 @@ class AdSearcher {
   /// Optional `ctx` governs the query (deadline, cancellation,
   /// budgets): on a trip the search unwinds and returns the context's
   /// typed trip status, with the partial result in ctx->trip().
-  ///
-  /// Optional `approx` trades recall for speed (see ApproxPolicy):
-  /// epsilon > 0 arms the bounded-recall (1+eps) early stop,
-  /// column_sample < 1 searches a seeded dimension subset and re-ranks
-  /// candidates exactly. The result's `bound` reports the per-query
-  /// guaranteed recall. An exact (default) `approx` falls back to the
-  /// context's policy when one is set there; exact everywhere means the
-  /// bit-identical exact path.
   Result<KnMatchResult> KnMatch(std::span<const Value> query, size_t n,
                                 size_t k,
                                 std::span<const Value> weights = {},
                                 internal::AdScratch* scratch = nullptr,
-                                QueryContext* ctx = nullptr,
-                                const ApproxPolicy& approx = {}) const;
+                                QueryContext* ctx = nullptr) const;
 
   /// Algorithm FKNMatchAD (Fig. 6): the k points appearing most often in
-  /// the k-n-match answer sets for n in [n0, n1]. `weights`, `scratch`,
-  /// `ctx` and `approx` as above.
+  /// the k-n-match answer sets for n in [n0, n1]. `weights`, `scratch`
+  /// and `ctx` as above.
   Result<FrequentKnMatchResult> FrequentKnMatch(
       std::span<const Value> query, size_t n0, size_t n1, size_t k,
       std::span<const Value> weights = {},
       internal::AdScratch* scratch = nullptr,
-      QueryContext* ctx = nullptr, const ApproxPolicy& approx = {}) const;
+      QueryContext* ctx = nullptr) const;
 
   /// Warm-started KNMatchAD: `seeds` (candidate answer pids from a
   /// nearby cached query) let the search skip the kernel's threshold
@@ -109,28 +99,9 @@ class AdSearcher {
   /// The underlying sorted columns (exposed for tests and tools).
   const SortedColumns& columns() const { return columns_; }
 
-  /// Builds the delta-encoded bit-packed rendering of the columns and
-  /// routes exact (and epsilon-stopped) queries through it: the kernel
-  /// decodes runs on the fly instead of walking the flat SoA arrays.
-  /// Answers are bit-identical; the column working set shrinks by the
-  /// compression ratio. Idempotent. The flat columns stay resident (the
-  /// warm-start and sampled paths read them directly).
-  void EnablePackedColumns();
-  /// Discards the packed rendering; queries walk the flat columns again.
-  void DisablePackedColumns() { packed_.reset(); }
-  bool packed_enabled() const { return packed_.has_value(); }
-  /// The packed columns, or nullptr when not enabled (tests/tools).
-  const PackedColumns* packed_columns() const {
-    return packed_.has_value() ? &*packed_ : nullptr;
-  }
-
  private:
   const Dataset& db_;
   SortedColumns columns_;
-  /// Engaged by EnablePackedColumns(); mutable state is confined to
-  /// setup (queries only read it), so the searcher stays shareable
-  /// across threads once configured.
-  std::optional<PackedColumns> packed_;
 };
 
 }  // namespace knmatch

@@ -40,9 +40,6 @@ struct AdOutput {
   /// Loser-tree leaf-to-root replays (== winner runs); 0 for the
   /// reference heap driver.
   uint64_t tree_replays = 0;
-  /// Recall accounting; the all-exact default unless the run was
-  /// driven under a non-exact ApproxPolicy.
-  RecallBound bound;
 };
 
 /// The REFERENCE stepping engine of the AD (Ascending Difference)
@@ -248,11 +245,10 @@ class AdAnswerBuilder {
   uint64_t pops_ = 0;
 };
 
-/// Each ascend variant lives out-of-line in its own function: the
-/// approximate mode's arming and bound-assembly code grew RunAdSearch
-/// enough that keeping the pop loops inline in it cost the governed
-/// loop ~4 cycles/pop (bench_governance_overhead); a dedicated function
-/// per sink restores each loop's own inlining budget.
+/// Each ascend variant lives out-of-line in its own function so every
+/// pop loop gets its own inlining budget and code alignment, whatever
+/// RunAdSearch's setup and trip-unwind code around it grows to: the
+/// governed loop is sensitive to both (bench_governance_overhead).
 template <typename Accessor>
 [[gnu::noinline, gnu::aligned(64)]] void DriveExactAscend(AdKernel<Accessor>& kernel,
                                         AdAnswerBuilder& answers) {
@@ -278,50 +274,6 @@ template <typename Accessor>
     return true;
   });
 }
-template <typename Accessor>
-[[gnu::noinline, gnu::aligned(64)]] void DriveApproxAscend(
-    AdKernel<Accessor>& kernel, AdAnswerBuilder& answers, QueryContext* ctx,
-    bool governed, Value stop_mult, size_t n1, size_t k,
-    Value& stop_threshold, Value& stop_dif, bool& early_stopped,
-    std::vector<PointId>& ondeck, std::vector<PointId>& reserve) {
-  if (n1 > 1) {
-    ondeck.reserve(k);
-    reserve.reserve(k);
-  }
-  uint32_t countdown = kGovernanceStride;
-  kernel.Drive([&](PointId pid, Value dif, uint16_t a) {
-    if (dif > stop_threshold) {
-      if (stop_threshold == 0) {
-        // A zero-difference completion (the query coincides with a
-        // dataset point) makes (1+eps) * 0 a degenerate threshold
-        // that would stop at the very first runner-up pop. Re-arm
-        // once from the first positive frontier difference so the
-        // band has a positive base and eps keeps meaning: larger
-        // eps searches measurably further before stopping.
-        stop_threshold = stop_mult * dif;
-      } else {
-        early_stopped = true;
-        stop_dif = dif;
-        return false;
-      }
-    }
-    if (!answers.Consume(pid, dif, a)) return false;
-    if (static_cast<size_t>(a) == n1) {
-      // This pop just completed the worst (latest) terminal so far —
-      // completions arrive in ascending difference order, so dif is
-      // the current k-th-best candidate the (1+eps) stop rule scales.
-      stop_threshold = stop_mult * dif;
-    } else if (static_cast<size_t>(a) + 1 == n1 && ondeck.size() < k) {
-      ondeck.push_back(pid);
-    }
-    if (a == 1 && reserve.size() < k) reserve.push_back(pid);
-    if (governed && --countdown == 0) {
-      countdown = kGovernanceStride;
-      return ctx->Recheck(kernel.attributes_retrieved(), answers.pops());
-    }
-    return true;
-  });
-}
 
 /// Batch driver: algorithms KNMatchAD (n0 == n1) and FKNMatchAD of the
 /// paper, on top of the block-ascending kernel. Runs until the
@@ -340,25 +292,12 @@ template <typename Accessor>
 /// trip the ascend stops, the best-so-far answer sets move into the
 /// context's GovernanceTrip, and the returned AdOutput's sets are
 /// empty; callers surface ctx->trip_status().
-///
-/// `approx.epsilon > 0` arms the bounded-recall early stop: once at
-/// least one point has completed n1 appearances, the ascend stops at
-/// the first pop whose difference exceeds (1+epsilon) times the worst
-/// completed terminal difference. Everything delivered before the stop
-/// is an exact prefix of the exact answer (completions arrive in final
-/// order), so the emitted RecallBound's m/k guarantee is sound; the
-/// terminal set is then padded with optimistic fills (points one
-/// appearance short, distance = the stop difference, a certified lower
-/// bound). An exact policy leaves every code path bit-identical to the
-/// pre-approximation engine. Column sampling does not live here — see
-/// core/ad_approx.h for the sampled-columns variant.
 template <typename Accessor>
 AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
                      size_t n1, size_t k,
                      std::span<const Value> weights = {},
                      AdScratch* scratch = nullptr,
-                     QueryContext* ctx = nullptr,
-                     const ApproxPolicy& approx = {}) {
+                     QueryContext* ctx = nullptr) {
   assert(n0 >= 1 && n0 <= n1 && n1 <= acc.dims());
   assert(k >= 1 && k <= acc.column_size());
 
@@ -391,33 +330,10 @@ AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
     kernel.emplace(acc, query, weights, scratch);
   }
 
-  const bool approx_stop = approx.epsilon > 0;
-  const Value stop_mult = 1.0 + approx.epsilon;
-  Value stop_threshold = kInfValue;  // armed at the first completion
-  Value stop_dif = kInfValue;
-  bool early_stopped = false;
-  /// Points one appearance short of completing, in pop order — the
-  /// optimistic fill pool for an early-stopped terminal set.
-  std::vector<PointId> ondeck;
-  /// Fallback fill pool: the first k distinct points popped, in first-
-  /// appearance order. A very early stop (the threshold arms at 0 when
-  /// the query is a dataset point) can fire before anything reaches
-  /// n1-1 appearances; these earliest-seen points — the ones with the
-  /// smallest single-dimension differences — keep the answer full-size.
-  std::vector<PointId> reserve;
-
   {
     obs::TraceSpan span(obs::Phase::kAscend);
     AdAnswerBuilder answers(&out, n0, n1, k);
-    if (approx_stop) {
-      // The approximate sink folds the governance stride in (approx
-      // mode is off the exact lanes' drift gate, so the combined sink
-      // does not need the exact path's two-variant split). Out-of-line
-      // so the exact sinks below keep their layout.
-      DriveApproxAscend(*kernel, answers, ctx, governed, stop_mult, n1, k,
-                        stop_threshold, stop_dif, early_stopped, ondeck,
-                        reserve);
-    } else if (governed) {
+    if (governed) {
       DriveGovernedAscend(*kernel, answers, ctx);
     } else {
       DriveExactAscend(*kernel, answers);
@@ -435,55 +351,6 @@ AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
     ctx->trip().attributes_retrieved = out.attributes_retrieved;
     ctx->StorePartialSets(&out.per_n_sets);
     out.per_n_sets.assign(n1 - n0 + 1, {});
-  } else if (approx_stop) {
-    RecallBound& bound = out.bound;
-    bound.epsilon = approx.epsilon;
-    if (early_stopped) {
-      bound.early_stopped = true;
-      bound.settled_below = stop_dif;
-      const size_t levels = n1 - n0 + 1;
-      bound.level_exact.resize(levels);
-      size_t sum = 0;
-      for (size_t i = 0; i < levels; ++i) {
-        bound.level_exact[i] =
-            static_cast<uint32_t>(out.per_n_sets[i].size());
-        sum += out.per_n_sets[i].size();
-      }
-      auto& terminal = out.per_n_sets[levels - 1];
-      bound.exact_prefix = static_cast<uint32_t>(terminal.size());
-      // Every level's set is the exact prefix of its exact answer, so
-      // the certainly-present fraction averages the per-level prefixes.
-      bound.guaranteed =
-          static_cast<double>(sum) / static_cast<double>(levels * k);
-      // Optimistic fills for the terminal set: the points closest to
-      // completing, in pop order. Their true terminal difference is
-      // >= stop_dif (every unconsumed attribute is), so the recorded
-      // distance is a certified lower bound — fills can only raise
-      // measured recall above the reported guarantee, never lower it.
-      for (PointId pid : ondeck) {
-        if (terminal.size() >= k) break;
-        if (static_cast<size_t>(scratch->Appearances(pid)) >= n1) {
-          continue;  // completed before the stop; already in the set
-        }
-        terminal.push_back(Neighbor{pid, stop_dif});
-      }
-      // Second fill pool: the earliest-seen points, for stops that
-      // fire before anything reaches n1-1 appearances. Same soundness
-      // argument (an uncompleted point's true terminal difference is
-      // >= stop_dif); skip points the ondeck loop already placed.
-      for (PointId pid : reserve) {
-        if (terminal.size() >= k) break;
-        if (static_cast<size_t>(scratch->Appearances(pid)) >= n1) continue;
-        bool placed = false;
-        for (const Neighbor& nb : terminal) {
-          if (nb.pid == pid) {
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) terminal.push_back(Neighbor{pid, stop_dif});
-      }
-    }
   }
   if (obs::Enabled()) {
     obs::Cat().ad_tree_replays->Add(out.tree_replays);
@@ -493,11 +360,6 @@ AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
   if (obs::QueryTrace* trace = obs::CurrentTrace()) {
     trace->counters().attributes_retrieved += out.attributes_retrieved;
     trace->counters().heap_pops += out.heap_pops;
-    if (approx_stop) {
-      trace->counters().recall_bound_pct =
-          static_cast<uint64_t>(out.bound.guaranteed * 100.0);
-      if (out.bound.early_stopped) ++trace->counters().approx_early_stops;
-    }
   }
   return out;
 }

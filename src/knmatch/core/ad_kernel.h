@@ -464,8 +464,8 @@ class AdKernel {
     // SSE2 loop below, with identical lane->index assignment: the low
     // 128 bits carry pairs {i, i+1} and the high 128 pairs {i+2, i+3},
     // so splitting the accumulators reproduces (f0, f1, ...) exactly
-    // and the chain merge below is shared. Re-measured on the packed
-    // columns (see docs/perf.md); built only under KNMATCH_NATIVE_ARCH.
+    // and the chain merge below is shared. See the tuning log in
+    // docs/perf.md; built only under KNMATCH_NATIVE_ARCH.
     {
       __m256d fw = _mm256_set1_pd(kInfValue), sw = fw, tw = fw;
       __m256d iw = _mm256_setzero_pd();

@@ -287,16 +287,6 @@ class AdScratch {
     appear_.resize(std::max<size_t>(pid + 1, appear_.size() * 2), 0);
   }
 
-  /// Reads `pid`'s appearance count for the current query without
-  /// bumping it (0 when the point has not popped this epoch). Cold
-  /// path: the approximate mode's post-stop fill pass uses it to skip
-  /// candidates that already completed.
-  uint16_t Appearances(PointId pid) const {
-    if (pid >= appear_.size()) return 0;
-    const uint32_t v = appear_[pid];
-    return (v >> 16) == epoch_ ? static_cast<uint16_t>(v) : 0;
-  }
-
   /// Hints the cache that `pid`'s appearance slot will be bumped soon.
   /// The block kernel calls this for every pid it buffers at refill
   /// time, so the miss is (mostly) resolved by the time the entry pops.

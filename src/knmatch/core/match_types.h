@@ -8,72 +8,6 @@
 
 namespace knmatch {
 
-/// Approximation knobs for a (frequent) k-n-match query. The default
-/// policy is exact; engines take the unmodified exact path for it, so
-/// passing a default-constructed policy is bit-identical to the
-/// pre-approximation API.
-///
-///  - `epsilon` arms the bounded-recall early stop: once at least one
-///    point has completed its n1 appearances, the ascend stops at the
-///    first pop whose difference exceeds (1+epsilon) times the current
-///    k-th best (i.e. the worst completed) n-match difference. The
-///    completions delivered before the stop are an exact prefix of the
-///    exact answer, which is what makes the reported RecallBound sound
-///    (see docs/perf.md for the argument).
-///  - `column_sample` < 1 evaluates only a deterministic seeded subset
-///    of ceil(column_sample * d) dimensions' cursors and re-ranks the
-///    surviving candidates exactly over all d dimensions. Sampling has
-///    no sound per-query bound (an unsampled dimension can hide an
-///    arbitrarily small difference), so sampled results report a
-///    guaranteed bound of 0 and their measured recall is the honest
-///    quality signal.
-struct ApproxPolicy {
-  /// Early-stop slack; 0 disables the stop (exact).
-  double epsilon = 0;
-  /// Fraction of dimensions whose cursors run; 1 disables sampling.
-  double column_sample = 1.0;
-  /// Seed for the sampled-dimension subset. Fixed per policy (not per
-  /// query) so repeated queries are deterministic and cacheable.
-  uint64_t sample_seed = 0x9e3779b97f4a7c15ull;
-
-  /// True when this policy requests the exact algorithm.
-  bool exact() const { return !(epsilon > 0) && !(column_sample < 1.0); }
-  /// True when the sampled-columns variant runs.
-  bool sampled() const { return column_sample < 1.0; }
-};
-
-/// Per-query recall accounting attached to every result produced under
-/// a non-exact ApproxPolicy (exact runs carry the all-exact default).
-struct RecallBound {
-  /// Sound lower bound on this answer's recall against the exact
-  /// answer: at least this fraction of the exact matches are present.
-  /// 1.0 for exact runs; m/k after an early stop with m completions;
-  /// 0 for sampled runs (no sound bound exists — see ApproxPolicy).
-  double guaranteed = 1.0;
-  /// The policy the answer was computed under, echoed for consumers
-  /// that only see the result (cache hits, shard merges).
-  double epsilon = 0;
-  double column_sample = 1.0;
-  /// Leading entries of the terminal answer set that are certainly
-  /// exact (the completions delivered before the stop). Entries past
-  /// the prefix are optimistic fills whose distances are lower bounds.
-  /// Meaningful only when early_stopped.
-  uint32_t exact_prefix = 0;
-  /// Certainly-exact completions per level n0..n1 (empty for exact
-  /// runs). The shard merge needs per-level prefixes to propagate the
-  /// weakest bound soundly.
-  std::vector<uint32_t> level_exact;
-  /// Every point whose true n1-match difference is strictly below this
-  /// value is present in the (pre-fill) terminal set — the certainty
-  /// horizon the shard merge intersects across shards. kInfValue when
-  /// the search ran to exhaustion (everything settled).
-  Value settled_below = kInfValue;
-  /// The (1+epsilon) stop fired before the answer completed.
-  bool early_stopped = false;
-  /// The sampled-columns variant produced this answer.
-  bool sampled = false;
-};
-
 /// One answer of a (k-)n-match or kNN query: a point and its score.
 /// For k-n-match queries `distance` is the point's n-match difference
 /// (the epsilon at which it matched); for kNN it is the metric distance.
@@ -94,9 +28,6 @@ struct KnMatchResult {
   /// the cost metric of the paper's multiple-system IR model. Scan-based
   /// algorithms report c*d; the AD algorithm reports its optimal count.
   uint64_t attributes_retrieved = 0;
-  /// Recall accounting; the all-exact default unless the query ran
-  /// under a non-exact ApproxPolicy.
-  RecallBound bound;
 };
 
 /// Result of a frequent k-n-match query (Definition 4).
@@ -112,8 +43,6 @@ struct FrequentKnMatchResult {
   std::vector<std::vector<Neighbor>> per_n_sets;
   /// Cost metric, as in KnMatchResult.
   uint64_t attributes_retrieved = 0;
-  /// Recall accounting, as in KnMatchResult.
-  RecallBound bound;
 };
 
 }  // namespace knmatch

@@ -20,14 +20,12 @@ namespace knmatch {
 /// bits, and typical datasets land at 3-6x smaller than the raw SoA
 /// columns.
 ///
-/// The packed form serves the exact AD path: decoding reproduces every
-/// value bit-for-bit (one deliberate exception: -0.0 is canonicalized
-/// to +0.0, which no comparison or difference arithmetic can
-/// distinguish), so answers, pop order and attribute counts match the
-/// uncompressed columns exactly. Decoding happens per run inside the
-/// kernel's buffered ReadRun path — the working set during the ascend
-/// is the packed blocks plus the kernel's per-slot run buffers, not a
-/// full uncompressed copy.
+/// The packed form is the page codec of the packed disk store
+/// (storage/packed_column_store.h): decoding reproduces every value
+/// bit-for-bit (one deliberate exception: -0.0 is canonicalized to
+/// +0.0, which no comparison or difference arithmetic can distinguish),
+/// so answers, pop order and attribute counts match the uncompressed
+/// columns exactly.
 class PackedColumns {
  public:
   /// Entries per block. A power of two; chosen >= 2 * kAdRunBlock so a
@@ -116,40 +114,6 @@ class PackedColumns {
 
   std::vector<DimColumn> cols_;
   size_t size_ = 0;
-};
-
-/// Kernel accessor over PackedColumns. Exposes ReadRun (the buffered
-/// kernel path) but deliberately NOT values()/pids(): there is no flat
-/// array to hand out, and routing through ReadRun keeps the kernel's
-/// stepping decisions identical to the other buffered accessors, which
-/// is what makes bit-for-bit answer equality provable.
-class PackedColumnAccessor {
- public:
-  explicit PackedColumnAccessor(const PackedColumns& packed)
-      : packed_(&packed) {}
-
-  size_t dims() const { return packed_->dims(); }
-  size_t column_size() const { return packed_->size(); }
-
-  size_t LocateLowerBound(size_t dim, Value v) const {
-    return packed_->LowerBound(dim, v);
-  }
-
-  ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t /*slot*/) const {
-    return packed_->entry(dim, idx);
-  }
-
-  /// Even slots are down cursors (descending walk from idx), odd slots
-  /// up cursors — the same convention as MemoryColumnAccessor. Memory-
-  /// resident, so the full run is always served.
-  size_t ReadRun(size_t dim, size_t idx, size_t len, uint32_t slot,
-                 Value* values, PointId* pids) const {
-    packed_->DecodeRun(dim, idx, len, slot % 2 == 0, values, pids);
-    return len;
-  }
-
- private:
-  const PackedColumns* packed_;
 };
 
 }  // namespace knmatch

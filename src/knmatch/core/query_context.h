@@ -124,16 +124,6 @@ class QueryContext {
   QueryBudgets& budgets() { return budgets_; }
   const QueryBudgets& budgets() const { return budgets_; }
 
-  /// Attaches an approximation policy to every query run under this
-  /// context. Entry points that also take an explicit ApproxPolicy
-  /// parameter prefer the explicit one when it is non-exact; the
-  /// context's policy covers call sites (batch workers, shard slices)
-  /// where threading a parameter is impractical. Approximation is a
-  /// per-query contract like the budgets, not a trip condition: it
-  /// changes the answer's recall, never the query's status.
-  void set_approx_policy(const ApproxPolicy& policy) { approx_ = policy; }
-  const ApproxPolicy& approx_policy() const { return approx_; }
-
   /// True when a deadline (duration or absolute) is armed.
   bool has_deadline() const { return has_deadline_; }
 
@@ -276,10 +266,6 @@ class QueryContext {
   uint64_t page_base_ = 0;
   Status trip_status_;
   GovernanceTrip trip_;
-  // Last on purpose: the approximation policy is read once per query,
-  // while everything above it is on Recheck's per-stride hot path —
-  // keep those members at their pre-approximation offsets.
-  ApproxPolicy approx_;
 };
 
 namespace internal {

@@ -77,16 +77,6 @@ void SimilarityEngine::EnableCache(cache::CacheConfig config) {
 
 void SimilarityEngine::DisableCache() { cache_.reset(); }
 
-void SimilarityEngine::EnablePackedColumns() {
-  packed_columns_ = true;
-  if (ad_ != nullptr) ad_->EnablePackedColumns();
-}
-
-void SimilarityEngine::DisablePackedColumns() {
-  packed_columns_ = false;
-  if (ad_ != nullptr) ad_->DisablePackedColumns();
-}
-
 SimilarityEngine::~SimilarityEngine() = default;
 
 void SimilarityEngine::ResetOnceFlags() {
@@ -98,10 +88,8 @@ void SimilarityEngine::ResetOnceFlags() {
 }
 
 void SimilarityEngine::EnsureAd() const {
-  std::call_once(*ad_once_, [this] {
-    ad_ = std::make_unique<AdSearcher>(db_);
-    if (packed_columns_) ad_->EnablePackedColumns();
-  });
+  std::call_once(*ad_once_,
+                 [this] { ad_ = std::make_unique<AdSearcher>(db_); });
 }
 
 void SimilarityEngine::EnsureIGrid() const {
@@ -148,22 +136,20 @@ exec::BatchExecutor& SimilarityEngine::AcquireExecutor(
 
 Result<KnMatchResult> SimilarityEngine::KnMatch(
     std::span<const Value> query, size_t n, size_t k,
-    std::span<const Value> weights, QueryContext* ctx,
-    const ApproxPolicy& approx) const {
+    std::span<const Value> weights, QueryContext* ctx) const {
   EnsureAd();
   auto r = cache::CachedKnMatch(CacheHandle(), *ad_, query, n, k, weights,
-                                nullptr, ctx, approx);
+                                nullptr, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;
 }
 
 Result<FrequentKnMatchResult> SimilarityEngine::FrequentKnMatch(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    std::span<const Value> weights, QueryContext* ctx,
-    const ApproxPolicy& approx) const {
+    std::span<const Value> weights, QueryContext* ctx) const {
   EnsureAd();
   auto r = cache::CachedFrequentKnMatch(CacheHandle(), *ad_, query, n0, n1,
-                                        k, weights, nullptr, ctx, approx);
+                                        k, weights, nullptr, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;
 }
@@ -458,14 +444,6 @@ Result<FrequentKnMatchResult> SimilarityEngine::RunDiskMethod(
 Result<FrequentKnMatchResult> SimilarityEngine::DiskFrequentKnMatch(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
     DiskMethod method, QueryContext* ctx) const {
-  // The disk methods always answer exactly; honoring a context-attached
-  // approx policy on some fallback steps (the in-memory terminal) but
-  // not others would make the degradation chain non-deterministic.
-  if (ctx != nullptr && !ctx->approx_policy().exact()) {
-    return Status::InvalidArgument(
-        "approximate policies (epsilon / column_sample) apply to the "
-        "in-memory AD entry points only; disk methods answer exactly");
-  }
   EnsureDiskStores();
   last_disk_fallback_.clear();
 

@@ -92,26 +92,17 @@ class SimilarityEngine {
   /// status (kDeadlineExceeded / kResourceExhausted / kUnavailable)
   /// and ctx->trip() holds progress plus the best-so-far partial
   /// result. The engine stays fully reusable after a trip.
-  ///
-  /// Optional `approx` trades recall for speed (ApproxPolicy): epsilon
-  /// arms the bounded-recall (1+eps) early stop, column_sample < 1
-  /// searches a seeded dimension subset with exact re-rank. The
-  /// result's `bound` reports the per-query guaranteed recall; exact
-  /// (the default) is the bit-identical classic path. The policy is
-  /// part of the result-cache key, so approximate answers never serve
-  /// exact requests (or vice versa).
   Result<KnMatchResult> KnMatch(std::span<const Value> query, size_t n,
                                 size_t k,
                                 std::span<const Value> weights = {},
-                                QueryContext* ctx = nullptr,
-                                const ApproxPolicy& approx = {}) const;
+                                QueryContext* ctx = nullptr) const;
 
-  /// In-memory frequent k-n-match via the AD algorithm; `ctx` and
-  /// `approx` as on KnMatch.
+  /// In-memory frequent k-n-match via the AD algorithm; `ctx` as on
+  /// KnMatch.
   Result<FrequentKnMatchResult> FrequentKnMatch(
       std::span<const Value> query, size_t n0, size_t n1, size_t k,
-      std::span<const Value> weights = {}, QueryContext* ctx = nullptr,
-      const ApproxPolicy& approx = {}) const;
+      std::span<const Value> weights = {},
+      QueryContext* ctx = nullptr) const;
 
   /// Exact kNN by scan; `ctx` as on KnMatch.
   Result<KnMatchResult> Knn(std::span<const Value> query, size_t k,
@@ -184,15 +175,6 @@ class SimilarityEngine {
   /// per engine, so entries can never alias across engines sharing a
   /// cache in a future embedding.
   uint64_t cache_epoch() const { return cache_epoch_; }
-
-  /// Routes the in-memory exact AD path through delta-encoded
-  /// bit-packed columns (see AdSearcher::EnablePackedColumns); answers
-  /// stay bit-identical. The preference survives InsertPoint rebuilds.
-  /// Requires external serialization like EnableCache.
-  void EnablePackedColumns();
-  /// Back to the flat sorted columns. Same serialization rules.
-  void DisablePackedColumns();
-  bool packed_columns_enabled() const { return packed_columns_; }
 
   // --- Live ingest (crash-consistent streaming mutations) ---
   //
@@ -377,9 +359,6 @@ class SimilarityEngine {
   /// engine from a process-wide counter.
   std::unique_ptr<cache::QueryResultCache> cache_;
   uint64_t cache_epoch_ = 0;
-  /// Sticky packed-columns preference; EnsureAd re-applies it after
-  /// every lazy (re)build.
-  bool packed_columns_ = false;
   mutable std::unique_ptr<AdSearcher> ad_;
   mutable std::unique_ptr<IGridIndex> igrid_;
   mutable std::unique_ptr<DiskSimulator> disk_;

@@ -318,7 +318,7 @@ Result<KnMatchBatchResult> BatchExecutor::KnMatch(
       request, [&](size_t worker, size_t i, QueryContext* ctx) {
         return cache::CachedKnMatch(binding, searcher, request.queries[i],
                                     n, k, weights, &scratches_[worker],
-                                    ctx, request.options.approx);
+                                    ctx);
       });
 }
 
@@ -337,7 +337,7 @@ Result<FrequentKnMatchBatchResult> BatchExecutor::FrequentKnMatch(
         return cache::CachedFrequentKnMatch(binding, searcher,
                                             request.queries[i], n0, n1, k,
                                             weights, &scratches_[worker],
-                                            ctx, request.options.approx);
+                                            ctx);
       });
 }
 

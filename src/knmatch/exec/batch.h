@@ -79,12 +79,6 @@ struct BatchOptions {
   /// reports the work actually done. Answers are unaffected: a
   /// duplicate's answer is by definition the representative's.
   bool collapse_duplicates = true;
-  /// Approx policy applied to every query of the batch (k-n-match and
-  /// frequent k-n-match only; Knn ignores it). Exact by default. The
-  /// per-query recall bound lands on each result's `bound`, and the
-  /// policy is part of the result-cache key, so approximate batches
-  /// never serve or poison exact ones.
-  ApproxPolicy approx;
 };
 
 /// A batch of same-shaped queries. The match parameters (n, k, ...) are

@@ -250,26 +250,6 @@ Catalog BuildCatalog() {
       "Reusable B+-tree node slots tracked by the free-space manager, "
       "summed over all dimension trees");
 
-  const char* kApproxQueriesName = "knmatch_approx_queries_total";
-  const char* kApproxQueriesHelp =
-      "Queries executed under a non-exact approximation policy, by "
-      "mechanism (a query using both counts in both)";
-  c.approx_queries_epsilon = r.GetCounter(
-      kApproxQueriesName, "mechanism=\"epsilon\"", kApproxQueriesHelp);
-  c.approx_queries_sampled = r.GetCounter(
-      kApproxQueriesName, "mechanism=\"sampled\"", kApproxQueriesHelp);
-  c.approx_early_stops = r.GetCounter(
-      "knmatch_approx_early_stops_total", "",
-      "(1+epsilon) early stops actually taken (queries that completed "
-      "exactly before the threshold do not count)");
-  c.approx_recall_bound = r.GetHistogram(
-      "knmatch_approx_recall_bound_percent", "",
-      "Per-query guaranteed recall bound, percent (100 = provably "
-      "exact; sampled queries report 0)");
-  c.approx_candidates = r.GetCounter(
-      "knmatch_approx_candidates_total", "",
-      "Candidates exactly re-ranked by the sampled-columns path");
-
   const char* kCacheLookupName = "knmatch_cache_lookups_total";
   const char* kCacheLookupHelp =
       "Query result cache lookups, by outcome";

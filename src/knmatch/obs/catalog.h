@@ -101,14 +101,6 @@ struct Catalog {
   Gauge* snapshot_epoch;       // last published read-snapshot epoch
   Gauge* ingest_free_slots;    // reusable node slots across all trees
 
-  // --- Approximate AD mode (bounded-recall early stop + sampled
-  // columns; core/ad_engine.h, core/ad_approx.h). ---
-  Counter* approx_queries_epsilon;   // queries run with epsilon > 0
-  Counter* approx_queries_sampled;   // queries run on a column subset
-  Counter* approx_early_stops;       // (1+eps) stops actually taken
-  Histogram* approx_recall_bound;    // guaranteed recall, percent
-  Counter* approx_candidates;        // sampled-path candidates re-ranked
-
   // --- Query result cache (cache/query_cache.h). ---
   Counter* cache_hits;
   Counter* cache_misses;

@@ -58,8 +58,6 @@ void ForEachCounter(
   fn("quarantines", c.quarantines);
   fn("fallbacks", c.fallbacks);
   fn("points_refined", c.points_refined);
-  fn("approx_early_stops", c.approx_early_stops);
-  fn("recall_bound_pct", c.recall_bound_pct);
 }
 
 }  // namespace

@@ -48,8 +48,6 @@ struct TraceCounters {
   uint64_t quarantines = 0;    // pages declared unrecoverable
   uint64_t fallbacks = 0;      // abandoned methods in a degradation chain
   uint64_t points_refined = 0; // candidates exactly re-checked (VA phase 2)
-  uint64_t approx_early_stops = 0;  // (1+epsilon) stops taken this query
-  uint64_t recall_bound_pct = 100;  // guaranteed recall, percent (exact: 100)
 };
 
 /// A per-query trace: phase timings plus cost counters. Install one

@@ -29,7 +29,6 @@ struct Event {
   double at_s = 0;  // offset from run start
   EventKind kind = EventKind::kRequest;
   uint32_t query = 0;  // index into the pool
-  bool approx = false;
 };
 
 std::string RenderQueryBody(const LoadgenOptions& options,
@@ -69,27 +68,13 @@ struct Tally {
   std::vector<double> latencies_ms;
 };
 
-void RunEvent(const LoadgenOptions& options, const Event& event,
-              const std::vector<std::string>& bodies,
+void RunEvent(const Event& event, const std::vector<std::string>& bodies,
               const std::vector<std::pair<std::string, std::string>>& headers,
               HttpClient* client, Tally* tally, Clock::time_point scheduled) {
   const std::string& body = bodies[event.query];
   switch (event.kind) {
     case EventKind::kRequest: {
-      Result<HttpResponse> r =
-          event.approx
-              ? client->Post("/query",
-                             [&] {
-                               // Splice the approx policy in; bodies are
-                               // pre-rendered without it.
-                               std::string b = body;
-                               b.insert(b.size() - 1,
-                                        ",\"epsilon\":" +
-                                            std::to_string(options.epsilon));
-                               return b;
-                             }(),
-                             headers)
-              : client->Post("/query", body, headers);
+      Result<HttpResponse> r = client->Post("/query", body, headers);
       const double ms = std::chrono::duration<double, std::milli>(
                             Clock::now() - scheduled)
                             .count();
@@ -185,8 +170,6 @@ Result<LoadReport> RunOpenLoopLoad(
                : pick < 0.5  ? EventKind::kFaultTorn
                : pick < 0.75 ? EventKind::kFaultStalled
                              : EventKind::kFaultMalformed;
-    } else {
-      e.approx = uniform(rng) < options.approx_fraction;
     }
     events.push_back(e);
   }
@@ -220,8 +203,7 @@ Result<LoadReport> RunOpenLoopLoad(
             start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(event.at_s));
         std::this_thread::sleep_until(scheduled);
-        RunEvent(options, event, bodies, headers, &client, &tally,
-                 scheduled);
+        RunEvent(event, bodies, headers, &client, &tally, scheduled);
       }
     });
   }

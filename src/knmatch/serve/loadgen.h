@@ -30,9 +30,6 @@ struct LoadgenOptions {
   std::string type = "knmatch";
   size_t n = 0;  // 0 = query dimensionality
   size_t k = 10;
-  /// Fraction of requests sent with an approximate policy (epsilon).
-  double approx_fraction = 0;
-  double epsilon = 0.1;
   /// Fraction of events that inject a client-side network fault
   /// (reset, torn frame, stalled dribble, malformed bytes) instead of
   /// a well-formed request.

@@ -60,24 +60,21 @@ const char* BreakerStateName(exec::CircuitBreaker::State state) {
   return "unknown";
 }
 
+/// Largest integer a JSON number (an IEEE double) carries exactly.
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
 /// Reads an optional non-negative integer member; false on a present
-/// but malformed value.
+/// but malformed value. Values above 2^53 are malformed: beyond it a
+/// double no longer names one integer, and converting a double past
+/// size_t's range (say 1e30) is undefined behaviour.
 bool ReadSize(const JsonValue& root, std::string_view key, size_t* out) {
   const JsonValue* v = root.Find(key);
   if (v == nullptr) return true;
-  if (!v->is_number() || v->number < 0 ||
+  if (!v->is_number() || v->number < 0 || v->number > kMaxExactInteger ||
       v->number != std::floor(v->number)) {
     return false;
   }
   *out = static_cast<size_t>(v->number);
-  return true;
-}
-
-bool ReadDouble(const JsonValue& root, std::string_view key, double* out) {
-  const JsonValue* v = root.Find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) return false;
-  *out = v->number;
   return true;
 }
 
@@ -105,16 +102,6 @@ void WriteNeighbors(JsonWriter* w, const std::vector<Neighbor>& matches) {
     w->EndObject();
   }
   w->EndArray();
-}
-
-void WriteBound(JsonWriter* w, const RecallBound& bound) {
-  w->BeginObject();
-  w->Key("guaranteed").Number(bound.guaranteed);
-  w->Key("epsilon").Number(bound.epsilon);
-  w->Key("column_sample").Number(bound.column_sample);
-  w->Key("early_stopped").Bool(bound.early_stopped);
-  w->Key("sampled").Bool(bound.sampled);
-  w->EndObject();
 }
 
 }  // namespace
@@ -841,29 +828,18 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
   size_t n = query.size();
   size_t n0 = 1;
   size_t n1 = query.size();
-  double epsilon = 0;
-  double column_sample = 1.0;
   if (!ReadSize(root, "k", &k) || !ReadSize(root, "n", &n) ||
-      !ReadSize(root, "n0", &n0) || !ReadSize(root, "n1", &n1) ||
-      !ReadDouble(root, "epsilon", &epsilon) ||
-      !ReadDouble(root, "column_sample", &column_sample)) {
+      !ReadSize(root, "n0", &n0) || !ReadSize(root, "n1", &n1)) {
     *http_status = 400;
     return ErrorBody("bad_query",
-                     "k/n/n0/n1 must be non-negative integers and "
-                     "epsilon/column_sample numbers");
+                     "k/n/n0/n1 must be integers in [0, 2^53]");
   }
-  ApproxPolicy approx;
-  approx.epsilon = epsilon;
-  approx.column_sample = column_sample;
 
   QueryContext ctx;
   if (job.has_deadline) {
     ctx.set_deadline_in_ms_from(job.arrival, job.deadline_ms);
   }
   ctx.set_cancel(cancel_);
-  // The router reads the policy off the context (it takes no approx
-  // parameter); the engine paths get it explicitly below.
-  ctx.set_approx_policy(approx);
 
   // Run the query; with a router attached, /query scatter-gathers and
   // the dispatch report (degradation record) rides the same lock.
@@ -877,7 +853,6 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
     if (r.ok()) {
       result.matches = std::move(r.value().matches);
       result.attributes_retrieved = r.value().attributes_retrieved;
-      result.bound = r.value().bound;
     } else {
       status = r.status();
     }
@@ -895,7 +870,7 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
       }
     } else {
       Result<FrequentKnMatchResult> r =
-          engine_->FrequentKnMatch(query, n0, n1, k, weights, &ctx, approx);
+          engine_->FrequentKnMatch(query, n0, n1, k, weights, &ctx);
       if (r.ok()) {
         result = std::move(r.value());
       } else {
@@ -910,17 +885,14 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
       if (r.ok()) {
         result.matches = std::move(r.value().matches);
         result.attributes_retrieved = r.value().attributes_retrieved;
-        result.bound = r.value().bound;
       } else {
         status = r.status();
       }
     } else {
-      Result<KnMatchResult> r = engine_->KnMatch(query, n, k, weights, &ctx,
-                                                 approx);
+      Result<KnMatchResult> r = engine_->KnMatch(query, n, k, weights, &ctx);
       if (r.ok()) {
         result.matches = std::move(r.value().matches);
         result.attributes_retrieved = r.value().attributes_retrieved;
-        result.bound = r.value().bound;
       } else {
         status = r.status();
       }
@@ -967,8 +939,6 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
     w.EndArray();
   }
   w.Key("attributes_retrieved").Uint(result.attributes_retrieved);
-  w.Key("bound");
-  WriteBound(&w, result.bound);
   // Degraded shard coverage is explicit on the wire: clients must be
   // able to tell a complete answer from a survivors-only one.
   w.Key("partial").Bool(degradation.partial());
@@ -1045,7 +1015,7 @@ std::string HttpServer::HandleBatch(const Job& job, int* http_status) {
       !ReadSize(root, "threads", &threads)) {
     *http_status = 400;
     return ErrorBody("bad_query",
-                     "k/n/n0/n1/threads must be non-negative integers");
+                     "k/n/n0/n1/threads must be integers in [0, 2^53]");
   }
   request.options.threads = threads;
   request.options.cancel = cancel_;

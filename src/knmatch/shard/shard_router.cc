@@ -46,57 +46,6 @@ bool IsAvailabilityError(const Status& status) {
          status.code() == StatusCode::kUnavailable;
 }
 
-/// The weakest combined recall bound over the shard partials. A merged
-/// entry is certifiably correct (present and exactly ranked) only when
-/// its difference lies strictly below every shard's settled_below
-/// horizon — above the smallest horizon, some early-stopped shard may
-/// be hiding a better point. Sampling certifies nothing anywhere
-/// (RecallBound::sampled), and a partial-coverage answer certifies
-/// nothing either: a missing shard can hide arbitrarily many answers.
-RecallBound MergeShardBounds(
-    const std::vector<const FrequentKnMatchResult*>& partials,
-    const FrequentKnMatchResult& merged, size_t levels, size_t k,
-    bool partial_coverage) {
-  RecallBound bound;
-  bool any_nonexact = partial_coverage;
-  for (const FrequentKnMatchResult* p : partials) {
-    const RecallBound& b = p->bound;
-    bound.epsilon = std::max(bound.epsilon, b.epsilon);
-    bound.column_sample = std::min(bound.column_sample, b.column_sample);
-    bound.settled_below = std::min(bound.settled_below, b.settled_below);
-    bound.early_stopped = bound.early_stopped || b.early_stopped;
-    bound.sampled = bound.sampled || b.sampled;
-    if (b.early_stopped || b.sampled || b.guaranteed < 1.0) {
-      any_nonexact = true;
-    }
-  }
-  // Every shard exact with full coverage: the all-exact default
-  // (guaranteed 1.0, empty level_exact), as the engine reports it.
-  if (!any_nonexact) return RecallBound{};
-  if (bound.sampled || partial_coverage) {
-    bound.guaranteed = 0.0;
-    bound.exact_prefix = 0;
-    bound.level_exact.assign(levels, 0);
-    if (partial_coverage) bound.settled_below = 0;
-    return bound;
-  }
-  uint64_t certified = 0;
-  bound.level_exact.assign(levels, 0);
-  for (size_t l = 0; l < levels; ++l) {
-    uint32_t exact = 0;
-    for (const Neighbor& nb : merged.per_n_sets[l]) {
-      if (nb.distance < bound.settled_below) ++exact;
-    }
-    exact = std::min(exact, static_cast<uint32_t>(k));
-    bound.level_exact[l] = exact;
-    certified += exact;
-  }
-  bound.exact_prefix = bound.level_exact.front();
-  bound.guaranteed = static_cast<double>(certified) /
-                     static_cast<double>(levels * std::max<size_t>(1, k));
-  return bound;
-}
-
 }  // namespace
 
 /// One replica: a full engine over this shard's slice, with its own
@@ -192,7 +141,6 @@ std::shared_ptr<const ShardRouter::ShardSet> ShardRouter::BuildShardSet(
       Dataset copy = (r + 1 == R) ? std::move(slices[s]) : slices[s];
       auto engine = std::make_unique<SimilarityEngine>(std::move(copy),
                                                        options_.disk_config);
-      if (options_.packed_columns) engine->EnablePackedColumns();
       sh->replicas.push_back(Replica{std::move(engine)});
     }
     set->shards.push_back(std::move(sh));
@@ -221,7 +169,6 @@ Result<KnMatchResult> ShardRouter::KnMatch(std::span<const Value> query,
   KnMatchResult out;
   out.matches = std::move(merged.value().per_n_sets[0]);
   out.attributes_retrieved = merged.value().attributes_retrieved;
-  out.bound = std::move(merged.value().bound);
   return out;
 }
 
@@ -244,17 +191,6 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
         "per-dimension weights require the in-memory method (the disk "
         "path takes none)");
   }
-  // Effective approx policy: the router's configured one, else a
-  // policy attached to the caller's context (as the engine resolves
-  // it). The disk methods always answer exactly.
-  ApproxPolicy approx = options_.approx;
-  if (approx.exact() && ctx != nullptr) approx = ctx->approx_policy();
-  if (!approx.exact() &&
-      options_.method != RouterOptions::Method::kMemoryAd) {
-    return Status::InvalidArgument(
-        "approximate policies (epsilon / column_sample) require the "
-        "in-memory method; the disk methods answer exactly");
-  }
   if (ctx != nullptr && ctx->tripped()) return ctx->trip_status();
   if (ctx != nullptr) {
     ctx->ArmPages(nullptr);
@@ -274,7 +210,7 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
   if (cache_ != nullptr) {
     if (frequent) {
       if (auto hit = cache_->LookupFrequent(cache_epoch_, query, n0, n1, k,
-                                            weights, approx)) {
+                                            weights)) {
         last_.cache_hit = true;
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         obs::Cat().shard_cache_hits->Add();
@@ -282,14 +218,13 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
       }
     } else {
       if (auto hit = cache_->LookupKnMatch(cache_epoch_, query, n0, k,
-                                           weights, approx)) {
+                                           weights)) {
         last_.cache_hit = true;
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         obs::Cat().shard_cache_hits->Add();
         FrequentKnMatchResult wrapped;
         wrapped.per_n_sets.push_back(std::move(hit->matches));
         wrapped.attributes_retrieved = hit->attributes_retrieved;
-        wrapped.bound = std::move(hit->bound);
         return wrapped;
       }
     }
@@ -335,7 +270,7 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
   std::vector<ShardOutcome> outcomes(S);
   const Clock::time_point fanout_start = Clock::now();
   pool_->ParallelFor(S, [&](size_t, size_t s) {
-    DispatchShard(*set, s, query, n0, n1, k, weights, approx, frequent,
+    DispatchShard(*set, s, query, n0, n1, k, weights, frequent,
                   has_deadline, slice_deadline, budgets, cancel,
                   &outcomes[s]);
   });
@@ -400,8 +335,6 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
 
   FrequentKnMatchResult merged =
       internal::MergeFrequentPartials(partials, n1 - n0 + 1, k);
-  merged.bound = MergeShardBounds(partials, merged, n1 - n0 + 1, k,
-                                  report.degradation.partial());
 
   // The gather keeps honoring the caller's own deadline/cancel; the
   // shard slices already enforced the (split) budgets.
@@ -412,14 +345,12 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
 
   if (cache_ != nullptr && !report.degradation.partial()) {
     if (frequent) {
-      cache_->StoreFrequent(cache_epoch_, query, n0, n1, k, weights, merged,
-                            approx);
+      cache_->StoreFrequent(cache_epoch_, query, n0, n1, k, weights, merged);
     } else {
       KnMatchResult flat;
       flat.matches = merged.per_n_sets[0];
       flat.attributes_retrieved = merged.attributes_retrieved;
-      flat.bound = merged.bound;
-      cache_->StoreKnMatch(cache_epoch_, query, n0, k, weights, flat, approx);
+      cache_->StoreKnMatch(cache_epoch_, query, n0, k, weights, flat);
     }
   }
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
@@ -429,7 +360,7 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
 void ShardRouter::DispatchShard(
     const ShardSet& set, size_t shard_index, std::span<const Value> query,
     size_t n0, size_t n1, size_t k, std::span<const Value> weights,
-    const ApproxPolicy& approx, bool frequent, bool has_deadline,
+    bool frequent, bool has_deadline,
     Clock::time_point slice_deadline, const QueryBudgets& budgets,
     const std::shared_ptr<std::atomic<bool>>& cancel,
     ShardOutcome* out) const {
@@ -473,15 +404,14 @@ void ShardRouter::DispatchShard(
     std::atomic<int> first{-1};
     std::thread duplicate([&] {
       hedge_res = RunReplica(sh, hedge_replica, query, n0, n1, k_eff,
-                             weights, approx, frequent, has_deadline,
+                             weights, frequent, has_deadline,
                              slice_deadline, budgets, cancel, &hedge_trip);
       int expected = -1;
       first.compare_exchange_strong(expected, 1,
                                     std::memory_order_acq_rel);
     });
-    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, approx,
-                     frequent, has_deadline, slice_deadline, budgets, cancel,
-                     &trip);
+    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, frequent,
+                     has_deadline, slice_deadline, budgets, cancel, &trip);
     int expected = -1;
     first.compare_exchange_strong(expected, 0, std::memory_order_acq_rel);
     duplicate.join();
@@ -496,9 +426,8 @@ void ShardRouter::DispatchShard(
     }
   } else {
     tried[primary] = 1;
-    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, approx,
-                     frequent, has_deadline, slice_deadline, budgets, cancel,
-                     &trip);
+    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, frequent,
+                     has_deadline, slice_deadline, budgets, cancel, &trip);
   }
 
   if (!res.ok() && !trip && IsAvailabilityError(res.status())) {
@@ -507,9 +436,8 @@ void ShardRouter::DispatchShard(
       if (tried[r]) continue;
       ++out->failovers;
       trip = false;
-      res = RunReplica(sh, r, query, n0, n1, k_eff, weights, approx,
-                       frequent, has_deadline, slice_deadline, budgets,
-                       cancel, &trip);
+      res = RunReplica(sh, r, query, n0, n1, k_eff, weights, frequent,
+                       has_deadline, slice_deadline, budgets, cancel, &trip);
       if (res.ok() || trip || !IsAvailabilityError(res.status())) break;
     }
   }
@@ -529,7 +457,7 @@ void ShardRouter::DispatchShard(
 Result<FrequentKnMatchResult> ShardRouter::RunReplica(
     const Shard& sh, size_t replica_index, std::span<const Value> query,
     size_t n0, size_t n1, size_t k, std::span<const Value> weights,
-    const ApproxPolicy& approx, bool frequent, bool has_deadline,
+    bool frequent, bool has_deadline,
     Clock::time_point slice_deadline, const QueryBudgets& budgets,
     const std::shared_ptr<std::atomic<bool>>& cancel,
     bool* governance_trip) const {
@@ -547,16 +475,15 @@ Result<FrequentKnMatchResult> ShardRouter::RunReplica(
   switch (options_.method) {
     case RouterOptions::Method::kMemoryAd:
       if (frequent) {
-        res = engine.FrequentKnMatch(query, n0, n1, k, weights, pc, approx);
+        res = engine.FrequentKnMatch(query, n0, n1, k, weights, pc);
       } else {
-        auto kn = engine.KnMatch(query, n0, k, weights, pc, approx);
+        auto kn = engine.KnMatch(query, n0, k, weights, pc);
         if (!kn.ok()) {
           res = kn.status();
         } else {
           FrequentKnMatchResult wrapped;
           wrapped.per_n_sets.push_back(std::move(kn.value().matches));
           wrapped.attributes_retrieved = kn.value().attributes_retrieved;
-          wrapped.bound = std::move(kn.value().bound);
           res = std::move(wrapped);
         }
       }

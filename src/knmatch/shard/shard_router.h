@@ -76,21 +76,6 @@ struct RouterOptions {
   /// failing the query. False surfaces the first shard error.
   bool allow_partial = true;
 
-  /// Approx policy applied to every shard slice (kMemoryAd only — the
-  /// disk methods always answer exactly, mirroring the engine).
-  /// Exact by default. A non-exact policy on the caller's QueryContext
-  /// is honored the same way. The gather merges the per-shard recall
-  /// bounds into the weakest combined bound on the answer (see
-  /// RecallBound): a merged entry is certified only below the smallest
-  /// per-shard settled_below horizon, and a partial-coverage answer
-  /// certifies nothing.
-  ApproxPolicy approx;
-
-  /// Routes every replica engine's exact in-memory path through
-  /// bit-packed compressed columns (SimilarityEngine::
-  /// EnablePackedColumns); answers are bit-identical.
-  bool packed_columns = false;
-
   /// Per-shard circuit breaker tuning (exec/circuit_breaker.h).
   exec::CircuitBreaker::Options breaker;
 
@@ -270,8 +255,7 @@ class ShardRouter {
   void DispatchShard(const ShardSet& set, size_t shard_index,
                      std::span<const Value> query, size_t n0, size_t n1,
                      size_t k, std::span<const Value> weights,
-                     const ApproxPolicy& approx, bool frequent,
-                     bool has_deadline,
+                     bool frequent, bool has_deadline,
                      QueryContext::Clock::time_point slice_deadline,
                      const QueryBudgets& budgets,
                      const std::shared_ptr<std::atomic<bool>>& cancel,
@@ -281,7 +265,7 @@ class ShardRouter {
   Result<FrequentKnMatchResult> RunReplica(
       const Shard& sh, size_t replica_index, std::span<const Value> query,
       size_t n0, size_t n1, size_t k, std::span<const Value> weights,
-      const ApproxPolicy& approx, bool frequent, bool has_deadline,
+      bool frequent, bool has_deadline,
       QueryContext::Clock::time_point slice_deadline,
       const QueryBudgets& budgets,
       const std::shared_ptr<std::atomic<bool>>& cancel,

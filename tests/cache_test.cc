@@ -510,125 +510,5 @@ TEST(CacheConcurrencyTest, ConcurrentEngineQueriesShareTheCache) {
   EXPECT_GT(engine.cache()->Stats().hits, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// ApproxCacheTest: the approx policy is part of the cache key. An
-// answer computed under (epsilon, column_sample) must only ever serve a
-// request asking for exactly that policy — in BOTH directions: an
-// approximate entry can never answer an exact request, and an exact
-// entry can never answer an approximate one (the caller asked for the
-// cheap answer and budgets accordingly; handing back the exact entry
-// would be correct but would make approx latency unpredictable and
-// metrics lie).
-
-TEST(ApproxCacheTest, PolicyKeysMissInBothDirections) {
-  QueryResultCache cache;
-  const std::vector<Value> q = V({0.1, 0.2, 0.3});
-  ApproxPolicy approx;
-  approx.epsilon = 0.1;
-
-  // Exact entry: an approximate request must miss it.
-  cache.StoreKnMatch(/*epoch=*/1, q, 2, 2, {}, MakeResult({{7, 0.01}}));
-  EXPECT_FALSE(cache.LookupKnMatch(1, q, 2, 2, {}, approx).has_value());
-  EXPECT_TRUE(cache.LookupKnMatch(1, q, 2, 2, {}).has_value());
-
-  // Approximate entry: an exact request must miss it.
-  cache.Clear();
-  KnMatchResult partial = MakeResult({{7, 0.01}});
-  partial.bound.guaranteed = 0.5;
-  partial.bound.epsilon = 0.1;
-  partial.bound.early_stopped = true;
-  cache.StoreKnMatch(1, q, 2, 2, {}, partial, approx);
-  EXPECT_FALSE(cache.LookupKnMatch(1, q, 2, 2, {}).has_value());
-  auto hit = cache.LookupKnMatch(1, q, 2, 2, {}, approx);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->bound.guaranteed, 0.5);
-  EXPECT_TRUE(hit->bound.early_stopped);
-}
-
-TEST(ApproxCacheTest, DistinctPoliciesGetDistinctEntries) {
-  QueryResultCache cache;
-  const std::vector<Value> q = V({0.4, 0.5, 0.6});
-  ApproxPolicy eps10, eps25, sampled;
-  eps10.epsilon = 0.1;
-  eps25.epsilon = 0.25;
-  sampled.column_sample = 0.5;
-
-  cache.StoreKnMatch(1, q, 2, 2, {}, MakeResult({{1, 0.1}}), eps10);
-  EXPECT_FALSE(cache.LookupKnMatch(1, q, 2, 2, {}, eps25).has_value());
-  EXPECT_FALSE(cache.LookupKnMatch(1, q, 2, 2, {}, sampled).has_value());
-  ASSERT_TRUE(cache.LookupKnMatch(1, q, 2, 2, {}, eps10).has_value());
-
-  // A custom sample seed on a non-sampling policy is normalized away:
-  // it cannot cause a spurious miss against the plain exact entry.
-  cache.StoreKnMatch(1, q, 2, 2, {}, MakeResult({{2, 0.2}}));
-  ApproxPolicy exact_with_seed;
-  exact_with_seed.sample_seed = 12345;
-  auto hit = cache.LookupKnMatch(1, q, 2, 2, {}, exact_with_seed);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->matches[0].pid, 2u);
-}
-
-TEST(ApproxCacheTest, ApproxEntriesNeverSeedWarmStarts) {
-  CacheConfig config;
-  config.warm_radius = 0.1;
-  QueryResultCache cache(config);
-  const std::vector<Value> q = V({0.5, 0.5, 0.5});
-  const std::vector<Value> near = V({0.51, 0.5, 0.5});
-  ApproxPolicy approx;
-  approx.epsilon = 0.1;
-
-  // An approximate entry's answer set may be missing true neighbors,
-  // so it must never seed an exact search.
-  KnMatchResult partial = MakeResult({{9, 0.03}});
-  partial.bound.guaranteed = 0.5;
-  partial.bound.early_stopped = true;
-  cache.StoreKnMatch(1, q, 2, 5, {}, partial, approx);
-  EXPECT_FALSE(cache
-                   .FindWarmSeeds(1, cache::CachedMethod::kKnMatch, near, 2,
-                                  2, 5, {})
-                   .has_value());
-
-  cache.StoreKnMatch(1, q, 2, 5, {}, MakeResult({{9, 0.03}}));
-  EXPECT_TRUE(cache
-                  .FindWarmSeeds(1, cache::CachedMethod::kKnMatch, near, 2,
-                                 2, 5, {})
-                  .has_value());
-}
-
-TEST(ApproxCacheTest, EngineNeverCrossServesAcrossPolicies) {
-  SimilarityEngine engine(datagen::MakeUniform(2000, 6, 55));
-  engine.EnableCache();
-  const std::vector<Value> q(engine.dataset().point(11).begin(),
-                             engine.dataset().point(11).end());
-
-  // Populate the exact entry, then ask approximately: the answer must
-  // be freshly computed under the policy (its bound says so — a cached
-  // exact entry would carry the all-exact default bound).
-  auto exact = engine.KnMatch(q, 4, 10);
-  ASSERT_TRUE(exact.ok());
-  QueryContext ctx;
-  ApproxPolicy policy;
-  policy.epsilon = 0.1;
-  ctx.set_approx_policy(policy);
-  auto approx = engine.KnMatch(q, 4, 10, {}, &ctx);
-  ASSERT_TRUE(approx.ok());
-  EXPECT_EQ(approx.value().bound.epsilon, 0.1);
-
-  // The approximate run stored under its own key: a repeat hits it and
-  // returns the bound-carrying answer, while the exact entry still
-  // serves exact requests bit-identically.
-  QueryContext ctx2;
-  ctx2.set_approx_policy(policy);
-  auto approx_again = engine.KnMatch(q, 4, 10, {}, &ctx2);
-  ASSERT_TRUE(approx_again.ok());
-  ExpectSameMatches(approx_again.value().matches, approx.value().matches);
-  EXPECT_EQ(approx_again.value().bound.guaranteed,
-            approx.value().bound.guaranteed);
-  auto exact_again = engine.KnMatch(q, 4, 10);
-  ASSERT_TRUE(exact_again.ok());
-  ExpectSameMatches(exact_again.value().matches, exact.value().matches);
-  EXPECT_GE(exact_again.value().bound.guaranteed, 1.0);
-}
-
 }  // namespace
 }  // namespace knmatch

@@ -1,28 +1,22 @@
 // Differential soak for the bit-packed compressed columns: the packed
-// representations must be invisible to the algorithm. Every accessor
-// pairing — in-memory flat vs packed (through internal::RunAdSearch, so
-// pop counts compare too), disk ColumnStore vs PackedColumnStore, and
-// the B+-tree organization against both — must produce bit-identical
-// answer sets, the same pop counts and the same attributes_retrieved
-// across randomized query soaks. Also pins the codec itself (entry
-// round trip, LowerBound agreement, compression actually shrinking).
+// disk store must be invisible to the algorithm. The disk ColumnStore,
+// the PackedColumnStore and the B+-tree organization must produce
+// bit-identical answer sets and the same attributes_retrieved across a
+// randomized query soak. Also pins the codec itself (entry round trip,
+// LowerBound agreement, run decode, compression actually shrinking).
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "knmatch/common/random.h"
-#include "knmatch/core/ad_algorithm.h"
-#include "knmatch/core/ad_engine.h"
 #include "knmatch/core/packed_columns.h"
 #include "knmatch/core/sorted_columns.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/diskalgo/btree_ad.h"
 #include "knmatch/diskalgo/disk_ad.h"
 #include "knmatch/diskalgo/packed_disk_ad.h"
-#include "knmatch/engine.h"
 #include "knmatch/eval/experiment.h"
 #include "knmatch/storage/column_store.h"
 #include "knmatch/storage/packed_column_store.h"
@@ -108,54 +102,6 @@ TEST(PackedColumnsTest, DecodeRunMatchesBothWalkDirections) {
   }
 }
 
-// In-memory soak through internal::RunAdSearch so the pop counts are
-// comparable too: flat and packed accessors must agree on the answer
-// sets, the pop count, and attributes_retrieved for every query.
-TEST(PackedDifferentialTest, MemoryKernelSoakIsBitIdentical) {
-  const Dataset db = datagen::MakeUniform(5000, 8, 45);
-  const SortedColumns flat(db);
-  const PackedColumns packed(flat);
-  internal::MemoryColumnAccessor flat_acc(flat);
-  PackedColumnAccessor packed_acc(packed);
-  internal::AdScratch scratch;
-  size_t ran = 0;
-  for (const PointId pid : eval::SampleQueryPids(db, 500, 900)) {
-    auto q = db.point(pid);
-    const size_t n0 = 1 + (ran % 4), n1 = n0 + (ran % 3);
-    const size_t k = 1 + (ran % 12);
-    internal::AdOutput a =
-        internal::RunAdSearch(flat_acc, q, n0, n1, k, {}, &scratch);
-    internal::AdOutput b =
-        internal::RunAdSearch(packed_acc, q, n0, n1, k, {}, &scratch);
-    ExpectIdenticalSets(a.per_n_sets, b.per_n_sets);
-    EXPECT_EQ(a.heap_pops, b.heap_pops) << "pid " << pid;
-    EXPECT_EQ(a.attributes_retrieved, b.attributes_retrieved)
-        << "pid " << pid;
-    ++ran;
-  }
-}
-
-// The public engine path: EnablePackedColumns must not change any
-// answer or the attributes accounting.
-TEST(PackedDifferentialTest, EngineFacadeSoakIsBitIdentical) {
-  const Dataset db = datagen::MakeUniform(4000, 8, 46);
-  SimilarityEngine flat_engine{Dataset(db)};
-  SimilarityEngine packed_engine{Dataset(db)};
-  packed_engine.EnablePackedColumns();
-  for (const PointId pid : eval::SampleQueryPids(db, 200, 901)) {
-    const std::vector<Value> q(db.point(pid).begin(), db.point(pid).end());
-    auto a = flat_engine.FrequentKnMatch(q, 2, 6, 10);
-    auto b = packed_engine.FrequentKnMatch(q, 2, 6, 10);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectIdenticalSets(a.value().per_n_sets, b.value().per_n_sets);
-    EXPECT_EQ(a.value().matches, b.value().matches);
-    EXPECT_EQ(a.value().frequencies, b.value().frequencies);
-    EXPECT_EQ(a.value().attributes_retrieved,
-              b.value().attributes_retrieved);
-  }
-}
-
 // Disk organizations: the uncompressed ColumnStore, the packed page
 // store, and the B+-tree columns must all deliver the same answers and
 // attribute counts; the packed store must also charge fewer pages.
@@ -190,31 +136,6 @@ TEST(PackedDifferentialTest, DiskAndBTreeSoakIsBitIdentical) {
     EXPECT_EQ(a.value().attributes_retrieved,
               c.value().attributes_retrieved);
     ++ran;
-  }
-}
-
-// Packed columns compose with the approximate mode: the packed and
-// flat kernels early-stop at the same pop, so even approximate answers
-// (and their bounds) stay bit-identical across representations.
-TEST(PackedDifferentialTest, ApproxOnPackedMatchesApproxOnFlat) {
-  const Dataset db = datagen::MakeUniform(4000, 8, 48);
-  AdSearcher flat(db);
-  AdSearcher packed(db);
-  packed.EnablePackedColumns();
-  internal::AdScratch scratch;
-  ApproxPolicy policy;
-  policy.epsilon = 0.1;
-  for (const PointId pid : eval::SampleQueryPids(db, 100, 903)) {
-    auto q = db.point(pid);
-    auto a = flat.KnMatch(q, 5, 10, {}, &scratch, nullptr, policy);
-    auto b = packed.KnMatch(q, 5, 10, {}, &scratch, nullptr, policy);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value().matches, b.value().matches) << "pid " << pid;
-    EXPECT_EQ(a.value().bound.guaranteed, b.value().bound.guaranteed);
-    EXPECT_EQ(a.value().bound.early_stopped, b.value().bound.early_stopped);
-    EXPECT_EQ(a.value().attributes_retrieved,
-              b.value().attributes_retrieved);
   }
 }
 

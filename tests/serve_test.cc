@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,13 +67,6 @@ std::string MirrorQueryBody(const SimilarityEngine& engine,
   }
   w.EndArray();
   w.Key("attributes_retrieved").Uint(r.value().attributes_retrieved);
-  w.Key("bound").BeginObject();
-  w.Key("guaranteed").Number(r.value().bound.guaranteed);
-  w.Key("epsilon").Number(r.value().bound.epsilon);
-  w.Key("column_sample").Number(r.value().bound.column_sample);
-  w.Key("early_stopped").Bool(r.value().bound.early_stopped);
-  w.Key("sampled").Bool(r.value().bound.sampled);
-  w.EndObject();
   w.Key("partial").Bool(false);
   w.EndObject();
   return w.Take();
@@ -359,17 +353,34 @@ TEST_F(ServeServer, MetricsExpositionServesTheServeFamily) {
             std::string::npos);
 }
 
+// Every answer is exact: members the server does not read, such as
+// the epsilon and column-sample knobs of the removed approximate mode,
+// change nothing, byte for byte. "type" and "matches" lead the body so
+// clients can compare an answer by its prefix.
 TEST_F(ServeServer, QueryAnswersAreBitIdenticalToTheEngine) {
   StartServer();
   HttpClient client(server_->port());
   Rng rng(3);
   for (int i = 0; i < 10; ++i) {
     const std::vector<Value> q = RandomQuery(rng, db_.dims());
-    auto response = client.Post("/query", QueryBody(q, 3, 7));
+    const std::string body = QueryBody(q, 3, 7);
+    auto response = client.Post("/query", body);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response.value().status, 200);
     EXPECT_EQ(response.value().body, MirrorQueryBody(*engine_, q, 3, 7))
         << "query " << i;
+    EXPECT_EQ(response.value().body.rfind("{\"type\":\"knmatch\","
+                                          "\"matches\":[",
+                                          0),
+              0u);
+
+    std::string with_unknown = body;
+    with_unknown.insert(with_unknown.size() - 1,
+                        ",\"epsilon\":0.1,\"column_" "sample\":0.5");
+    auto ignored = client.Post("/query", with_unknown);
+    ASSERT_TRUE(ignored.ok());
+    ASSERT_EQ(ignored.value().status, 200);
+    EXPECT_EQ(ignored.value().body, response.value().body) << "query " << i;
   }
 }
 
@@ -526,16 +537,44 @@ TEST_F(ServeServer, BadRequestsGetStructuredErrors) {
        "bad_query"},
       {"/batch", "{\"queries\": []}", 400, "bad_query"},
       {"/nope", "{}", 404, "not_found"},
+      // Integer members arrive as JSON doubles. Beyond 2^53 a double
+      // names no single integer, and converting one past size_t's
+      // range (1e30) is undefined, so both endpoints refuse them before
+      // any conversion. Non-finite numbers never get that far: the JSON
+      // parser refuses "1e400". 2^53 itself parses, and validation
+      // refuses k > cardinality.
+      {"/query", "{\"query\": [1, 2, 3, 4, 5, 6], \"n\": 3, \"k\": 1e30}",
+       400, "bad_query"},
+      {"/query", "{\"query\": [1, 2, 3, 4, 5, 6], \"n\": 1e19, \"k\": 3}",
+       400, "bad_query"},
+      {"/query",
+       "{\"type\": \"fknmatch\", \"query\": [1, 2, 3, 4, 5, 6], "
+       "\"n0\": 1, \"n1\": 9007199254740994, \"k\": 3}",
+       400, "bad_query"},
+      {"/query", "{\"query\": [1, 2, 3, 4, 5, 6], \"n\": 1e400, \"k\": 3}",
+       400, "bad_json"},
+      {"/query",
+       "{\"query\": [1, 2, 3, 4, 5, 6], \"n\": 3, \"k\": 9007199254740992}",
+       400, "invalid_argument"},
+      {"/batch", "{\"queries\": [[1, 2, 3, 4, 5, 6]], \"threads\": 1e30}",
+       400, "bad_query"},
+      {"/batch", "{\"queries\": [[1, 2, 3, 4, 5, 6]], \"k\": 1e30}", 400,
+       "bad_query"},
+      {"/batch",
+       "{\"type\": \"fknmatch\", \"queries\": [[1, 2, 3, 4, 5, 6]], "
+       "\"n0\": 1e300, \"n1\": 4}",
+       400, "bad_query"},
   };
   for (const Case& c : kCases) {
     auto response = client.Post(c.target, c.body);
-    ASSERT_TRUE(response.ok()) << c.target;
-    EXPECT_EQ(response.value().status, c.status) << c.target;
+    ASSERT_TRUE(response.ok()) << c.target << " " << c.body;
+    EXPECT_EQ(response.value().status, c.status) << c.target << " " << c.body;
     auto parsed = ParseJson(response.value().body);
-    ASSERT_TRUE(parsed.ok()) << c.target;
+    ASSERT_TRUE(parsed.ok()) << c.target << " " << c.body;
     const JsonValue* error = parsed.value().Find("error");
-    ASSERT_NE(error, nullptr) << c.target;
-    EXPECT_EQ(error->Find("code")->string_value, c.code) << c.target;
+    ASSERT_NE(error, nullptr) << c.target << " " << c.body;
+    EXPECT_EQ(error->Find("code")->string_value, c.code)
+        << c.target << " " << c.body;
   }
   // Wrong methods.
   auto get_query = client.Get("/query");
@@ -785,7 +824,8 @@ TEST_F(ServeServer, StatsMirrorTheObsCounters) {
 // the network fault shim (resets, torn frames, stalls, malformed
 // bytes) folded in: no crashes, no leaked fds, no transport errors on
 // well-formed requests, and every distinct pool query's served answer
-// bit-identical to the direct engine.
+// bit-identical to the direct engine. Every request the loadgen sends
+// is one of the pool's bodies, so the pool-wide check covers them all.
 
 TEST(ServeSoak, ThousandRequestsUnderFaultsLeakNothingAndStayExact) {
   const Dataset db = datagen::MakeUniform(2000, 6, /*seed=*/23);
@@ -818,8 +858,6 @@ TEST(ServeSoak, ThousandRequestsUnderFaultsLeakNothingAndStayExact) {
     load.k = 10;
     load.deadline_ms = 200;
     load.fault_fraction = 0.15;
-    load.approx_fraction = 0.1;
-    load.epsilon = 0.1;
     load.seed = 77;
     auto run = serve::RunOpenLoopLoad(load, pool);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -833,21 +871,25 @@ TEST(ServeSoak, ThousandRequestsUnderFaultsLeakNothingAndStayExact) {
     EXPECT_EQ(report.transport_errors, 0u);
     EXPECT_TRUE(server.running());
 
-    // Bit-identity across the whole pool, after all that abuse.
+    // Bit-identity across every distinct query the soak could have
+    // sent, after all that abuse.
+    const std::set<std::vector<Value>> distinct(pool.begin(), pool.end());
     HttpClient client(server.port());
-    for (size_t i = 0; i < pool.size() && i < mix.pool_size; ++i) {
-      auto response = client.Post("/query", QueryBody(pool[i], 4, 10));
-      ASSERT_TRUE(response.ok()) << "pool query " << i;
-      ASSERT_EQ(response.value().status, 200) << "pool query " << i;
-      EXPECT_EQ(response.value().body, MirrorQueryBody(engine, pool[i], 4, 10))
-          << "pool query " << i;
+    size_t checked = 0;
+    for (const std::vector<Value>& q : distinct) {
+      auto response = client.Post("/query", QueryBody(q, 4, 10));
+      ASSERT_TRUE(response.ok()) << "pool query " << checked;
+      ASSERT_EQ(response.value().status, 200) << "pool query " << checked;
+      EXPECT_EQ(response.value().body, MirrorQueryBody(engine, q, 4, 10))
+          << "pool query " << checked;
+      ++checked;
     }
 
     stats = server.Stats();
     EXPECT_GE(stats.requests, report.sent);
     // At least the soak's 2xx plus the mirror pass (stalled-fault
     // completions may add more — the loadgen counts those as faults).
-    EXPECT_GE(stats.responses_ok, report.ok + mix.pool_size);
+    EXPECT_GE(stats.responses_ok, report.ok + distinct.size());
     server.Drain();
     EXPECT_EQ(stats.connections_accepted,
               server.Stats().connections_closed);

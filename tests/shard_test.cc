@@ -347,11 +347,15 @@ TEST(ShardDifferentialSoak, AutoDiskAbsorbsInjectedFaults) {
   options.shards = 4;
   options.method = RouterOptions::Method::kDiskAuto;
   const ShardRouter router(rig.db, options);
-  FaultInjector chaos(FaultInjector::Config{.seed = 5,
-                                            .transient_error_rate = 0.4,
-                                            .corruption_rate = 0.1});
-  router.replica_engine(0, 0)->SetFaultInjector(&chaos);
-  router.replica_engine(2, 0)->SetFaultInjector(&chaos);
+  // One injector per engine: a FaultInjector is not thread-safe, and
+  // the router queries shards concurrently.
+  const FaultInjector::Config chaos{.seed = 5,
+                                    .transient_error_rate = 0.4,
+                                    .corruption_rate = 0.1};
+  FaultInjector chaos0(chaos);
+  FaultInjector chaos2(chaos);
+  router.replica_engine(0, 0)->SetFaultInjector(&chaos0);
+  router.replica_engine(2, 0)->SetFaultInjector(&chaos2);
   Rng rng(8);
   rig.Soak(router, 60, rng);
   EXPECT_FALSE(router.last_dispatch().degradation.partial());
@@ -369,10 +373,13 @@ TEST(ShardDifferentialSoak, ExplicitDiskFailsOverToReplicas) {
   options.replicas = 2;
   options.method = RouterOptions::Method::kDiskScan;
   const ShardRouter router(rig.db, options);
-  FaultInjector dead(
-      FaultInjector::Config{.seed = 3, .transient_error_rate = 1.0});
+  // One injector per engine: a FaultInjector is not thread-safe, and
+  // the router queries shards concurrently.
+  std::vector<std::unique_ptr<FaultInjector>> dead;
   for (size_t s = 0; s < router.num_shards(); ++s) {
-    router.replica_engine(s, 0)->SetFaultInjector(&dead);
+    dead.push_back(std::make_unique<FaultInjector>(
+        FaultInjector::Config{.seed = 3, .transient_error_rate = 1.0}));
+    router.replica_engine(s, 0)->SetFaultInjector(dead.back().get());
   }
   Rng rng(16);
   rig.Soak(router, 40, rng);
