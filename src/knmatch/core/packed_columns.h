@@ -1,7 +1,6 @@
 #ifndef KNMATCH_CORE_PACKED_COLUMNS_H_
 #define KNMATCH_CORE_PACKED_COLUMNS_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,23 +65,7 @@ class PackedColumns {
     return dims() * size_ * (sizeof(Value) + sizeof(PointId));
   }
 
-  /// Order-preserving double -> uint64 key: for a <= b (as doubles),
-  /// OrderKey(a) <= OrderKey(b), and FromOrderKey inverts it exactly.
-  /// -0.0 canonicalizes to +0.0 so equal values map to equal keys
-  /// regardless of sign-of-zero (the columns tie-break equal values by
-  /// pid, not by bit pattern).
-  static uint64_t OrderKey(Value v) {
-    const uint64_t b = std::bit_cast<uint64_t>(v + 0.0);
-    return (b & kSignBit) != 0 ? ~b : (b | kSignBit);
-  }
-  static Value FromOrderKey(uint64_t key) {
-    const uint64_t b = (key & kSignBit) != 0 ? (key ^ kSignBit) : ~key;
-    return std::bit_cast<Value>(b);
-  }
-
  private:
-  static constexpr uint64_t kSignBit = 1ull << 63;
-
   /// Directory entry for one block. Offsets index into the owning
   /// dimension's shared bit arrays.
   struct Block {

@@ -2,7 +2,9 @@
 #define KNMATCH_CORE_SORTED_COLUMNS_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -10,6 +12,22 @@
 #include "knmatch/common/types.h"
 
 namespace knmatch {
+
+/// Order-preserving double -> uint64 key: for a <= b (as doubles),
+/// OrderKey(a) <= OrderKey(b), and FromOrderKey inverts it exactly.
+/// -0.0 canonicalizes to +0.0 so equal values map to equal keys
+/// regardless of sign-of-zero (the columns tie-break equal values by
+/// pid, not by bit pattern).
+inline uint64_t OrderKey(Value v) {
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  const uint64_t b = std::bit_cast<uint64_t>(v + 0.0);
+  return (b & kSignBit) != 0 ? ~b : (b | kSignBit);
+}
+inline Value FromOrderKey(uint64_t key) {
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  const uint64_t b = (key & kSignBit) != 0 ? (key ^ kSignBit) : ~key;
+  return std::bit_cast<Value>(b);
+}
 
 /// One attribute inside a sorted dimension: the value and the id of the
 /// point it belongs to. This is the "(point ID, attribute) pair" of the
@@ -38,7 +56,8 @@ class SortedColumns {
  public:
   SortedColumns() = default;
 
-  /// Builds the d sorted columns from a dataset. O(d * c log c).
+  /// Builds the d sorted columns from a dataset: one stable radix sort
+  /// per dimension, O(d * c).
   explicit SortedColumns(const Dataset& db);
 
   /// Dimensionality d.

@@ -99,11 +99,14 @@ void SimilarityEngine::EnsureIGrid() const {
 
 void SimilarityEngine::EnsureDiskStores() const {
   std::call_once(*disk_once_, [this] {
+    // Sharing the AD columns keeps them resident in a disk-only engine
+    // too; the kMemoryAd fallback needs them anyway.
+    EnsureAd();
     disk_ = std::make_unique<DiskSimulator>(config_);
     // The stores are built before the injector attaches: construction
     // writes pages, and the fault model covers reads only.
     rows_ = std::make_unique<RowStore>(db_, disk_.get());
-    columns_ = std::make_unique<ColumnStore>(db_, disk_.get());
+    columns_ = std::make_unique<ColumnStore>(ad_->columns(), disk_.get());
     va_ = std::make_unique<VaFile>(db_, disk_.get(), 8);
     disk_->set_fault_injector(injector_);
   });

@@ -328,6 +328,9 @@ class SimilarityEngine {
  private:
   void EnsureAd() const;
   void EnsureIGrid() const;
+  /// Builds the simulated disk and its row, column and VA stores. The
+  /// column store pages the AD searcher's sorted columns (built here if
+  /// absent), so the data is sorted once per engine.
   void EnsureDiskStores() const;
   void EnsureAdvisor() const;
   void EnsureEstimator() const;

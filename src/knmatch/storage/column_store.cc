@@ -10,14 +10,16 @@ constexpr size_t kEntryBytes = sizeof(Value) + sizeof(PointId);
 }  // namespace
 
 ColumnStore::ColumnStore(const Dataset& db, DiskSimulator* disk)
-    : dims_(db.dims()), size_(db.size()), disk_(disk), file_(disk) {
+    : ColumnStore(SortedColumns(db), disk) {}
+
+ColumnStore::ColumnStore(const SortedColumns& sorted, DiskSimulator* disk)
+    : dims_(sorted.dims()), size_(sorted.size()), disk_(disk), file_(disk) {
   entries_per_page_ = file_.payload_capacity() / kEntryBytes;
   assert(entries_per_page_ > 0 && "page too small for one entry");
   pages_per_dim_ = (size_ + entries_per_page_ - 1) / entries_per_page_;
   first_values_.resize(dims_);
 
-  // Reuse the in-memory sorting logic, then serialize column by column.
-  SortedColumns sorted(db);
+  // Serialize the sorted columns page by page.
   std::vector<std::byte> image;
   image.reserve(file_.page_size());
   for (size_t dim = 0; dim < dims_; ++dim) {

@@ -23,6 +23,11 @@ class ColumnStore {
   /// Builds the sorted, paged columns for `db` on the simulated disk.
   ColumnStore(const Dataset& db, DiskSimulator* disk);
 
+  /// Pages already-sorted columns onto the simulated disk, so a caller
+  /// that holds the in-memory AD columns does not sort a second time.
+  /// The pages are byte-identical to ColumnStore(db, disk)'s.
+  ColumnStore(const SortedColumns& sorted, DiskSimulator* disk);
+
   /// Dimensionality d.
   size_t dims() const { return dims_; }
   /// Cardinality c (entries per column).
@@ -31,6 +36,8 @@ class ColumnStore {
   size_t num_pages() const { return file_.num_pages(); }
   /// Entries stored per page.
   size_t entries_per_page() const { return entries_per_page_; }
+  /// The paged file behind the store (for tests that compare images).
+  const PagedFile& file() const { return file_; }
 
   /// Opens an I/O accounting stream (one per cursor direction).
   size_t OpenStream() const;

@@ -40,13 +40,13 @@ EncodedBlock EncodeBlock(std::span<const Value> vals,
          vals.size() <= kBlock);
   EncodedBlock blk;
   blk.len = static_cast<uint16_t>(vals.size());
-  blk.first_key = PackedColumns::OrderKey(vals[0]);
+  blk.first_key = OrderKey(vals[0]);
   uint64_t prev = blk.first_key;
   uint64_t max_delta = 0;
   PointId pid_min = ids[0];
   PointId pid_max = ids[0];
   for (size_t i = 1; i < vals.size(); ++i) {
-    const uint64_t key = PackedColumns::OrderKey(vals[i]);
+    const uint64_t key = OrderKey(vals[i]);
     assert(key >= prev && "columns must be sorted");
     max_delta = std::max(max_delta, key - prev);
     prev = key;
@@ -64,7 +64,7 @@ EncodedBlock EncodeBlock(std::span<const Value> vals,
   internal::BitWriter writer(&words);
   prev = blk.first_key;
   for (size_t i = 1; i < vals.size(); ++i) {
-    const uint64_t key = PackedColumns::OrderKey(vals[i]);
+    const uint64_t key = OrderKey(vals[i]);
     writer.Append(key - prev, blk.value_bits);
     prev = key;
   }
@@ -142,10 +142,10 @@ void DecodeBlockStream(std::span<const std::byte> image, const BlockRef& ref,
 
   internal::BitReader reader(words.data(), 0);
   uint64_t key = ref.first_key;
-  values[0] = PackedColumns::FromOrderKey(key);
+  values[0] = FromOrderKey(key);
   for (size_t i = 1; i < ref.len; ++i) {
     key += reader.Read(ref.value_bits);
-    values[i] = PackedColumns::FromOrderKey(key);
+    values[i] = FromOrderKey(key);
   }
   for (size_t i = 0; i < ref.len; ++i) {
     pids[i] = ref.pid_base + static_cast<PointId>(reader.Read(ref.pid_bits));
@@ -196,7 +196,7 @@ PackedColumnStore::PackedColumnStore(const Dataset& db, DiskSimulator* disk)
       file_.AppendPage(image);
       pages_[dim].push_back(
           PageInfo{page_first,
-                   PackedColumns::FromOrderKey(pending[0].first_key)});
+                   FromOrderKey(pending[0].first_key)});
       page_first += page_entries;
       page_bytes = kPagePreambleBytes;
       page_entries = 0;
@@ -297,7 +297,7 @@ size_t PackedColumnStore::LowerBound(size_t dim, Value v) const {
     return info.first_entry;
   }
   std::span<const std::byte> image = image_or.value();
-  const uint64_t key_v = PackedColumns::OrderKey(v);
+  const uint64_t key_v = OrderKey(v);
 
   // Last block in the page whose first key is < key_v.
   const size_t nblocks = PageBlockCount(image);

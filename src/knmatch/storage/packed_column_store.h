@@ -24,7 +24,7 @@ namespace knmatch {
 /// charged ReadPage serves every entry returned, decoded from the
 /// page's packed blocks on the spot. Answers are bit-for-bit identical
 /// to the uncompressed store's (modulo the -0.0 canonicalization
-/// documented on PackedColumns::OrderKey).
+/// documented on OrderKey in core/sorted_columns.h).
 class PackedColumnStore {
  public:
   /// Builds the packed, paged columns for `db` on the simulated disk.

@@ -8,25 +8,47 @@ namespace knmatch {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected IEEE polynomial: table 0 is the
+/// classic bytewise table, and table j advances table j-1's entry by one
+/// more zero byte, so eight lookups fold eight input bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (size_t j = 1; j < 8; ++j) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const std::byte> data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrc32Table();
+  static const Crc32Tables kT = MakeCrc32Tables();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ static_cast<uint8_t>(b)) & 0xFFu];
+  const std::byte* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, sizeof(lo));  // little-endian host, as the frame
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= crc;
+    crc = kT[7][lo & 0xFFu] ^ kT[6][(lo >> 8) & 0xFFu] ^
+          kT[5][(lo >> 16) & 0xFFu] ^ kT[4][lo >> 24] ^
+          kT[3][hi & 0xFFu] ^ kT[2][(hi >> 8) & 0xFFu] ^
+          kT[1][(hi >> 16) & 0xFFu] ^ kT[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ kT[0][(crc ^ static_cast<uint8_t>(*p)) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -29,7 +29,9 @@ namespace knmatch {
 /// Header (u32 payload length) plus trailer (u32 CRC32).
 constexpr size_t kPageFrameOverhead = 2 * sizeof(uint32_t);
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `data`.
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `data`,
+/// eight bytes per step (slice-by-8). Not CRC-32C: the SSE4.2 `crc32`
+/// instruction would change every stored checksum.
 uint32_t Crc32(std::span<const std::byte> data);
 
 /// Frames `payload` into a full page image of exactly `page_size`

@@ -41,7 +41,6 @@ uint64_t WriteAheadLog::Append(RecordType type, uint64_t txn, uint64_t page,
 
   const uint32_t crc = Crc32(body);
   const size_t frame_bytes = body.size() + kFrameOverhead;
-  log_.reserve(log_.size() + frame_bytes);
   PutScalar<uint32_t>(&log_, static_cast<uint32_t>(body.size()));
   log_.insert(log_.end(), body.begin(), body.end());
   PutScalar<uint32_t>(&log_, crc);

@@ -2,24 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 namespace knmatch {
 
 namespace {
 
-/// Writes `bits` low bits of `code` into the bit stream at bit offset
-/// `bit_pos`.
-void PutBits(std::vector<std::byte>* out, size_t bit_pos, uint32_t code,
+/// ORs the `bits` low bits of `code` into `out` at bit offset `bit_pos`
+/// (least significant bit first), a byte-sized chunk per step. `out`
+/// must already cover the field.
+void PutBits(std::span<std::byte> out, size_t bit_pos, uint32_t code,
              unsigned bits) {
-  for (unsigned b = 0; b < bits; ++b) {
-    const size_t pos = bit_pos + b;
-    const size_t byte = pos / 8;
-    const unsigned shift = pos % 8;
-    if (byte >= out->size()) out->resize(byte + 1, std::byte{0});
-    if ((code >> b) & 1u) {
-      (*out)[byte] |= std::byte{1} << shift;
-    }
+  while (bits > 0) {
+    const unsigned shift = bit_pos % 8;
+    const unsigned take = std::min(bits, 8 - shift);
+    const uint32_t chunk = code & ((1u << take) - 1);
+    out[bit_pos / 8] |= static_cast<std::byte>(chunk << shift);
+    code >>= take;
+    bit_pos += take;
+    bits -= take;
   }
 }
 
@@ -27,13 +29,14 @@ void PutBits(std::vector<std::byte>* out, size_t bit_pos, uint32_t code,
 uint32_t GetBits(std::span<const std::byte> in, size_t bit_pos,
                  unsigned bits) {
   uint32_t code = 0;
-  for (unsigned b = 0; b < bits; ++b) {
-    const size_t pos = bit_pos + b;
-    const size_t byte = pos / 8;
-    const unsigned shift = pos % 8;
-    if ((static_cast<uint8_t>(in[byte]) >> shift) & 1u) {
-      code |= 1u << b;
-    }
+  unsigned done = 0;
+  while (done < bits) {
+    const unsigned shift = bit_pos % 8;
+    const unsigned take = std::min(bits - done, 8 - shift);
+    const uint32_t byte = static_cast<uint8_t>(in[bit_pos / 8]);
+    code |= ((byte >> shift) & ((1u << take) - 1)) << done;
+    bit_pos += take;
+    done += take;
   }
   return code;
 }
@@ -74,14 +77,12 @@ VaFile::VaFile(const Dataset& db, DiskSimulator* disk, unsigned bits)
   size_t rows_in_page = 0;
   for (PointId pid = 0; pid < size_; ++pid) {
     auto p = db.point(pid);
-    const size_t row_base_bits = rows_in_page * row_bytes_ * 8;
-    for (size_t dim = 0; dim < dims_; ++dim) {
-      PutBits(&image, row_base_bits + dim * bits_, Quantize(dim, p[dim]),
-              bits_);
-    }
-    // PutBits only grows the buffer as far as set bits reach; pad the
-    // row to its full width so offsets stay aligned.
     image.resize((rows_in_page + 1) * row_bytes_, std::byte{0});
+    std::span<std::byte> row(image.data() + rows_in_page * row_bytes_,
+                             row_bytes_);
+    for (size_t dim = 0; dim < dims_; ++dim) {
+      PutBits(row, dim * bits_, Quantize(dim, p[dim]), bits_);
+    }
     if (++rows_in_page == rows_per_page_) {
       file_.AppendPage(image);
       image.clear();
@@ -107,6 +108,22 @@ uint32_t VaFile::Quantize(size_t dim, Value v) const {
   const auto code = static_cast<int64_t>(frac * cells_);
   return static_cast<uint32_t>(
       std::clamp<int64_t>(code, 0, cells_ - 1));
+}
+
+std::vector<VaFile::CellBound> VaFile::BoundsFor(
+    std::span<const Value> query) const {
+  std::vector<CellBound> bounds(dims_ * cells_);
+  for (size_t dim = 0; dim < dims_; ++dim) {
+    const Value q = query[dim];
+    for (uint32_t code = 0; code < cells_; ++code) {
+      const Value lo = CellLower(dim, code);
+      const Value hi = CellUpper(dim, code);
+      CellBound& b = bounds[dim * cells_ + code];
+      b.lower = q < lo ? lo - q : (q > hi ? q - hi : 0);
+      b.upper = std::max(std::abs(q - lo), std::abs(q - hi));
+    }
+  }
+  return bounds;
 }
 
 size_t VaFile::OpenStream() const { return disk_->OpenStream(); }

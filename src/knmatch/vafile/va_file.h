@@ -37,6 +37,9 @@ class VaFile {
   uint32_t cells() const { return cells_; }
   /// Number of pages the approximation file occupies.
   size_t num_pages() const { return file_.num_pages(); }
+  /// The paged file behind the approximations (for tests that compare
+  /// images).
+  const PagedFile& file() const { return file_; }
 
   /// Lower edge of cell `code` in dimension `dim`.
   Value CellLower(size_t dim, uint32_t code) const;
@@ -45,6 +48,16 @@ class VaFile {
 
   /// The cell code a coordinate quantizes to in `dim`.
   uint32_t Quantize(size_t dim, Value v) const;
+
+  /// Smallest and largest |q - x| over the x of one cell.
+  struct CellBound {
+    Value lower;
+    Value upper;
+  };
+  /// The bounds of `query` against every cell, at [dim * cells() + code]:
+  /// a scan looks each approximation's bounds up instead of recomputing
+  /// the cell edges (CellLower/CellUpper) per point.
+  std::vector<CellBound> BoundsFor(std::span<const Value> query) const;
 
   /// Opens an I/O accounting stream.
   size_t OpenStream() const;

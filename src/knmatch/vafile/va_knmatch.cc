@@ -1,7 +1,6 @@
 #include "knmatch/vafile/va_knmatch.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "knmatch/common/top_k.h"
@@ -61,6 +60,8 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(va_.disk());
   std::vector<PointId> candidates;
+  const std::vector<VaFile::CellBound> bounds = va_.BoundsFor(query);
+  const size_t cells = va_.cells();
   std::vector<Value> lb(d), ub(d);
   uint64_t approx_seen = 0;
   const size_t va_stream = va_.OpenStream();
@@ -68,17 +69,9 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
                                                     std::span<const uint32_t>
                                                         codes) {
     for (size_t dim = 0; dim < d; ++dim) {
-      const Value lo = va_.CellLower(dim, codes[dim]);
-      const Value hi = va_.CellUpper(dim, codes[dim]);
-      const Value q = query[dim];
-      if (q < lo) {
-        lb[dim] = lo - q;
-      } else if (q > hi) {
-        lb[dim] = q - hi;
-      } else {
-        lb[dim] = 0;
-      }
-      ub[dim] = std::max(std::abs(q - lo), std::abs(q - hi));
+      const VaFile::CellBound& b = bounds[dim * cells + codes[dim]];
+      lb[dim] = b.lower;
+      ub[dim] = b.upper;
     }
     std::sort(lb.begin(), lb.end());
     std::sort(ub.begin(), ub.end());

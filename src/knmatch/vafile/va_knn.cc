@@ -26,24 +26,17 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
   std::vector<Candidate> candidates;
   BoundedTopK<PointId, Value, PointId> ub_heap(k);
 
+  const std::vector<VaFile::CellBound> bounds = va_.BoundsFor(query);
+  const size_t cells = va_.cells();
   const size_t va_stream = va_.OpenStream();
   Status io = va_.ForEachApprox(va_stream, [&](PointId pid,
                                                std::span<const uint32_t>
                                                    codes) {
     Value lb2 = 0, ub2 = 0;
     for (size_t dim = 0; dim < d; ++dim) {
-      const Value lo = va_.CellLower(dim, codes[dim]);
-      const Value hi = va_.CellUpper(dim, codes[dim]);
-      const Value q = query[dim];
-      Value l = 0;
-      if (q < lo) {
-        l = lo - q;
-      } else if (q > hi) {
-        l = q - hi;
-      }
-      const Value u = std::max(std::abs(q - lo), std::abs(q - hi));
-      lb2 += l * l;
-      ub2 += u * u;
+      const VaFile::CellBound& b = bounds[dim * cells + codes[dim]];
+      lb2 += b.lower * b.lower;
+      ub2 += b.upper * b.upper;
     }
     const Value lb = std::sqrt(lb2);
     if (!ub_heap.full() || lb <= ub_heap.threshold()) {

@@ -60,6 +60,39 @@ TEST(PageCodecTest, AnySingleByteFlipIsDetected) {
   }
 }
 
+// The one-byte-per-step CRC the codec shipped with: the reference the
+// sliced CRC must match on every length and alignment.
+uint32_t Crc32Bytewise(std::span<const std::byte> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    crc ^= static_cast<uint8_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(PageCodecTest, Crc32KnownAnswer) {
+  const char* check = "123456789";
+  const auto* bytes = reinterpret_cast<const std::byte*>(check);
+  EXPECT_EQ(Crc32(std::span<const std::byte>(bytes, 9)), 0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(PageCodecTest, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(7);
+  std::vector<std::byte> buf(4104 + 8);
+  for (std::byte& b : buf) b = std::byte(rng.UniformInt(256));
+  for (const size_t offset : {0, 1, 3, 7}) {
+    for (size_t len = 0; len <= 4104; ++len) {
+      const std::span<const std::byte> data(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(data), Crc32Bytewise(data))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
 TEST(PageCodecTest, TruncatedImageRejected) {
   std::vector<std::byte> tiny(kPageFrameOverhead, std::byte{0});
   EXPECT_TRUE(StatusIs(VerifyAndUnframePage(tiny), StatusCode::kDataLoss));

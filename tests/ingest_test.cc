@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -648,6 +649,35 @@ TEST(EngineIngestTest, LifecycleIngestQueryMaterialize) {
   for (const Neighbor& nb : after.value().matches) {
     EXPECT_LT(nb.pid, 204u);
   }
+}
+
+TEST(EngineIngestTest, IngestCostStaysFlatWithoutACheckpoint) {
+  // The WAL grows with every op until a checkpoint truncates it. An
+  // append that copied the whole log would make each op cost more than
+  // the last; a ratio of means holds on a noisy host where absolute
+  // times do not.
+  SimilarityEngine engine(datagen::MakeUniform(2000, 8, 91));
+  ASSERT_TRUE(StatusIs(engine.BeginIngest(), StatusCode::kOk));
+  constexpr size_t kOps = 256;
+  constexpr size_t kWindow = 32;
+  Rng rng(92);
+  std::vector<double> op_ms;
+  std::vector<Value> coords(8);
+  for (size_t i = 0; i < kOps; ++i) {
+    for (Value& v : coords) v = rng.Uniform01();
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(StatusIs(engine.IngestPoint(coords), StatusCode::kOk));
+    op_ms.push_back(std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+  }
+  const double first =
+      std::accumulate(op_ms.begin(), op_ms.begin() + kWindow, 0.0) / kWindow;
+  const double last =
+      std::accumulate(op_ms.end() - kWindow, op_ms.end(), 0.0) / kWindow;
+  EXPECT_LE(last, 4 * first) << "first " << kWindow << " ops " << first
+                             << " ms each, last " << last << " ms each";
+  ASSERT_TRUE(StatusIs(engine.EndIngest(), StatusCode::kOk));
 }
 
 TEST(EngineIngestTest, CacheInvalidationWaitsForCommitDurability) {

@@ -1,15 +1,50 @@
 #include "knmatch/core/sorted_columns.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "knmatch/common/random.h"
 #include "knmatch/datagen/generators.h"
+#include "knmatch/datagen/texture_like.h"
 
 namespace knmatch {
 namespace {
+
+/// Reference order: a comparator sort on (value, pid) reading the
+/// dataset, exactly what SortedColumns built before its radix sort.
+/// operator< ranks −0.0 and +0.0 equal, so their ties break by pid.
+void ExpectMatchesComparatorSort(const Dataset& db) {
+  const SortedColumns columns(db);
+  ASSERT_EQ(columns.dims(), db.dims());
+  std::vector<PointId> order(db.size());
+  for (size_t dim = 0; dim < db.dims(); ++dim) {
+    std::iota(order.begin(), order.end(), PointId{0});
+    std::sort(order.begin(), order.end(), [&](PointId a, PointId b) {
+      const Value va = db.at(a, dim);
+      const Value vb = db.at(b, dim);
+      if (va != vb) return va < vb;
+      return a < b;
+    });
+    auto vals = columns.values(dim);
+    auto ids = columns.pids(dim);
+    ASSERT_EQ(vals.size(), db.size());
+    ASSERT_EQ(ids.size(), db.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(ids[i], order[i]) << "dim=" << dim << " i=" << i;
+      // Bit equality: a −0.0 must keep its sign.
+      ASSERT_EQ(std::bit_cast<uint64_t>(vals[i]),
+                std::bit_cast<uint64_t>(db.at(order[i], dim)))
+          << "dim=" << dim << " i=" << i;
+    }
+  }
+}
 
 TEST(SortedColumnsTest, EmptyDefault) {
   SortedColumns columns;
@@ -45,6 +80,57 @@ TEST(SortedColumnsTest, DuplicateValuesTieBrokenByPid) {
   EXPECT_EQ(ids[1], 0u);
   EXPECT_EQ(ids[2], 1u);
   EXPECT_EQ(ids[3], 3u);
+}
+
+TEST(SortedColumnsTest, BitIdenticalToComparatorSortOnTies) {
+  // Few distinct values per column: long runs of equal keys.
+  Dataset db = datagen::MakeUniform(3000, 4, 31);
+  Matrix m(0, 0);
+  for (PointId pid = 0; pid < db.size(); ++pid) {
+    std::vector<Value> row;
+    for (const Value v : db.point(pid)) row.push_back(std::floor(v * 7) / 7);
+    m.AppendRow(row);
+  }
+  ExpectMatchesComparatorSort(Dataset(std::move(m)));
+}
+
+TEST(SortedColumnsTest, BitIdenticalToComparatorSortOnSignedZeros) {
+  const Value nz = -0.0;
+  Dataset db(Matrix::FromRows({{0.0, nz},
+                               {nz, -1.5},
+                               {0.0, 0.0},
+                               {-1e-300, nz},
+                               {nz, 2.0},
+                               {1e-300, 0.0},
+                               {0.0, nz}}));
+  ExpectMatchesComparatorSort(db);
+  // The zeros tie, so they sit in pid order whatever their sign.
+  const SortedColumns columns(db);
+  const auto ids = columns.pids(0);
+  EXPECT_EQ(std::vector<PointId>(ids.begin(), ids.end()),
+            (std::vector<PointId>{3, 0, 1, 2, 4, 6, 5}));
+  EXPECT_TRUE(std::signbit(columns.values(0)[2]));  // pid 1's −0.0
+}
+
+TEST(SortedColumnsTest, BitIdenticalToComparatorSortOnNegativeValues) {
+  Rng rng(41);
+  Matrix m(0, 0);
+  for (int i = 0; i < 2000; ++i) {
+    m.AppendRow(std::vector<Value>{
+        rng.Uniform(-1e6, 1e6), rng.Uniform(-1, 1) * 1e-200,
+        -rng.Uniform01(), std::numeric_limits<Value>::lowest() / (i + 1),
+        static_cast<Value>(static_cast<int>(rng.UniformInt(9)) - 4)});
+  }
+  ExpectMatchesComparatorSort(Dataset(std::move(m)));
+}
+
+TEST(SortedColumnsTest, BitIdenticalToComparatorSortOnOnePoint) {
+  ExpectMatchesComparatorSort(
+      Dataset(Matrix::FromRows({{0.25, -0.0, -3.0}})));
+}
+
+TEST(SortedColumnsTest, BitIdenticalToComparatorSortOnTexture) {
+  ExpectMatchesComparatorSort(datagen::MakeTextureLike());
 }
 
 TEST(SortedColumnsTest, LowerBoundSemantics) {

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -234,6 +237,58 @@ TEST(ColumnStoreTest, EntriesMatchInMemorySortedColumns) {
           << "dim=" << dim << " idx=" << idx;
     }
   }
+}
+
+// Every page payload of `got` equals `want`'s byte for byte (the
+// frame around a payload is a pure function of it, so the stored page
+// images are equal too).
+void ExpectSamePages(const PagedFile& got, const PagedFile& want) {
+  ASSERT_EQ(got.num_pages(), want.num_pages());
+  for (size_t p = 0; p < got.num_pages(); ++p) {
+    auto a = got.PeekPage(p);
+    auto b = want.PeekPage(p);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a.value().size(), b.value().size()) << "page " << p;
+    ASSERT_EQ(std::memcmp(a.value().data(), b.value().data(),
+                          a.value().size()),
+              0)
+        << "page " << p;
+  }
+}
+
+TEST(ColumnStoreTest, SharedSortPagesAreByteIdentical) {
+  Dataset db = datagen::MakeUniform(1500, 4, 12);
+  DiskSimulator disk;
+  const SortedColumns sorted(db);
+  const ColumnStore shared(sorted, &disk);
+  const ColumnStore own(db, &disk);
+  ExpectSamePages(shared.file(), own.file());
+
+  // And both hold the comparator sort's (value, pid) entries, paged in
+  // order: the layout the paper's disk figures count.
+  DiskSimulator ref_disk;
+  PagedFile reference(&ref_disk);
+  std::vector<PointId> order(db.size());
+  std::vector<std::byte> image;
+  for (size_t dim = 0; dim < db.dims(); ++dim) {
+    std::iota(order.begin(), order.end(), PointId{0});
+    std::sort(order.begin(), order.end(), [&](PointId a, PointId b) {
+      const Value va = db.at(a, dim);
+      const Value vb = db.at(b, dim);
+      if (va != vb) return va < vb;
+      return a < b;
+    });
+    for (size_t i = 0; i < order.size(); ++i) {
+      PutScalar(&image, db.at(order[i], dim));
+      PutScalar(&image, order[i]);
+      if ((i + 1) % own.entries_per_page() == 0 || i + 1 == order.size()) {
+        reference.AppendPage(image);
+        image.clear();
+      }
+    }
+  }
+  ExpectSamePages(own.file(), reference);
 }
 
 TEST(ColumnStoreTest, LowerBoundMatchesInMemory) {

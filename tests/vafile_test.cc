@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +98,91 @@ TEST(VaFileTest, BoundsBracketTrueDifference) {
       const Value truth = std::abs(db.at(pid, dim) - q[dim]);
       EXPECT_LE(lb, truth + 1e-12);
       EXPECT_GE(ub, truth - 1e-12);
+    }
+  }
+}
+
+// The bit-at-a-time writer the VA-file shipped with: the reference the
+// byte-wise codec must reproduce exactly.
+void PutBitsBitwise(std::vector<std::byte>* out, size_t bit_pos,
+                    uint32_t code, unsigned bits) {
+  for (unsigned b = 0; b < bits; ++b) {
+    const size_t pos = bit_pos + b;
+    if (pos / 8 >= out->size()) out->resize(pos / 8 + 1, std::byte{0});
+    if ((code >> b) & 1u) (*out)[pos / 8] |= std::byte{1} << (pos % 8);
+  }
+}
+
+TEST(VaFileTest, PageImagesMatchBitwiseCodecForEveryWidth) {
+  Dataset db = datagen::MakeUniform(700, 7, 27);
+  for (unsigned bits = 1; bits <= 16; ++bits) {
+    DiskSimulator disk;
+    VaFile va(db, &disk, bits);
+    const size_t row_bytes = (db.dims() * bits + 7) / 8;
+    const size_t rows_per_page = va.file().payload_capacity() / row_bytes;
+    std::vector<std::vector<std::byte>> pages;
+    std::vector<std::byte> image;
+    for (PointId pid = 0; pid < db.size(); ++pid) {
+      const size_t row = pid % rows_per_page;
+      for (size_t dim = 0; dim < db.dims(); ++dim) {
+        PutBitsBitwise(&image, (row * row_bytes * 8) + dim * bits,
+                       va.Quantize(dim, db.at(pid, dim)), bits);
+      }
+      image.resize((row + 1) * row_bytes, std::byte{0});
+      if (row + 1 == rows_per_page || pid + 1 == db.size()) {
+        pages.push_back(image);
+        image.clear();
+      }
+    }
+    ASSERT_EQ(va.num_pages(), pages.size()) << "bits=" << bits;
+    for (size_t p = 0; p < pages.size(); ++p) {
+      auto got = va.file().PeekPage(p);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(std::equal(got.value().begin(), got.value().end(),
+                             pages[p].begin(), pages[p].end()))
+          << "bits=" << bits << " page=" << p;
+    }
+    // And the byte-wise reader decodes what was written.
+    const size_t s = va.OpenStream();
+    ASSERT_TRUE(va.ForEachApprox(s, [&](PointId pid,
+                                        std::span<const uint32_t> codes) {
+                    for (size_t dim = 0; dim < db.dims(); ++dim) {
+                      ASSERT_EQ(codes[dim],
+                                va.Quantize(dim, db.at(pid, dim)))
+                          << "bits=" << bits << " pid=" << pid;
+                    }
+                  }).ok());
+  }
+}
+
+TEST(VaFileTest, BoundsForMatchesCellEdgeArithmetic) {
+  Dataset db = datagen::MakeUniform(300, 3, 28);
+  DiskSimulator disk;
+  VaFile va(db, &disk, 6);
+  // In range, on a cell edge, and outside the data range on both sides.
+  for (const std::vector<Value>& q :
+       {std::vector<Value>{0.3, 0.5, 0.9}, std::vector<Value>{-0.5, 1.5, 0.0},
+        std::vector<Value>{va.CellLower(0, 17), va.CellUpper(1, 40), 2.0}}) {
+    const std::vector<VaFile::CellBound> bounds = va.BoundsFor(q);
+    ASSERT_EQ(bounds.size(), db.dims() * va.cells());
+    for (size_t dim = 0; dim < db.dims(); ++dim) {
+      for (uint32_t code = 0; code < va.cells(); ++code) {
+        const Value lo = va.CellLower(dim, code);
+        const Value hi = va.CellUpper(dim, code);
+        Value lb = 0;
+        if (q[dim] < lo) {
+          lb = lo - q[dim];
+        } else if (q[dim] > hi) {
+          lb = q[dim] - hi;
+        }
+        const Value ub =
+            std::max(std::abs(q[dim] - lo), std::abs(q[dim] - hi));
+        const VaFile::CellBound& b = bounds[dim * va.cells() + code];
+        ASSERT_EQ(std::bit_cast<uint64_t>(b.lower),
+                  std::bit_cast<uint64_t>(lb));
+        ASSERT_EQ(std::bit_cast<uint64_t>(b.upper),
+                  std::bit_cast<uint64_t>(ub));
+      }
     }
   }
 }
