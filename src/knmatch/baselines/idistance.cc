@@ -85,11 +85,11 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
 
   BoundedTopK<PointId, Value, PointId> top(k);
   last_points_examined_ = 0;
-  const size_t stream = tree_.OpenStream();
+  const DiskStream stream = tree_.OpenStream();
 
   auto scan_keys = [&](Value lo, Value hi) {
     // Examine every entry with lo <= key <= hi.
-    auto it = tree_.SeekLowerBound(stream, lo);
+    auto it = tree_.SeekLowerBound(stream.id(), lo);
     while (it.Valid() && it.Get().value <= hi) {
       const PointId pid = it.Get().pid;
       ++last_points_examined_;
@@ -114,7 +114,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
       } else {
         // Extend only the fresh shell on each side.
         if (lo < prev_lo) {
-          auto it = tree_.SeekLowerBound(stream, lo);
+          auto it = tree_.SeekLowerBound(stream.id(), lo);
           while (it.Valid() && it.Get().value < prev_lo) {
             ++last_points_examined_;
             top.Offer(MetricDistance(db_.point(it.Get().pid), query,
@@ -124,7 +124,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
           }
         }
         if (hi > prev_hi) {
-          auto it = tree_.SeekLowerBound(stream, prev_hi);
+          auto it = tree_.SeekLowerBound(stream.id(), prev_hi);
           while (it.Valid() && it.Get().value <= prev_hi) it.Next();
           while (it.Valid() && it.Get().value <= hi) {
             ++last_points_examined_;

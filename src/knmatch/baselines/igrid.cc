@@ -106,15 +106,17 @@ Result<KnMatchResult> IGridIndex::Search(std::span<const Value> query,
       const ListLocation& loc = list_locations_[li];
       if (fragmented_) {
         // The layout the paper measured: list fragments scattered over
-        // the file, every page its own seek.
+        // the file, every page its own seek (a fresh stream per page,
+        // released after the read).
         for (size_t pg = 0; pg < loc.num_pages; ++pg) {
-          file_->ReadPage(disk_->OpenStream(), loc.first_page + pg);
+          const DiskStream stream(disk_);
+          file_->ReadPage(stream.id(), loc.first_page + pg);
         }
       } else {
         // Idealized contiguous layout: one seek, then sequential.
-        const size_t stream = disk_->OpenStream();
+        const DiskStream stream(disk_);
         for (size_t pg = 0; pg < loc.num_pages; ++pg) {
-          file_->ReadPage(stream, loc.first_page + pg);
+          file_->ReadPage(stream.id(), loc.first_page + pg);
         }
       }
     }

@@ -285,7 +285,8 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
     return Status::InvalidArgument("k exceeds the number of points");
   }
 
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskStream stream =
+      disk_ != nullptr ? DiskStream(disk_) : DiskStream();
   last_nodes_visited_ = 0;
 
   struct QueueItem {
@@ -312,7 +313,7 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
       result.matches.push_back(Neighbor{item.pid, item.exact});
       continue;
     }
-    ChargeVisit(stream, item.node);
+    ChargeVisit(stream.id(), item.node);
     ++last_nodes_visited_;
     const Node& n = nodes_[item.node];
     for (const Entry& e : n.entries) {
@@ -335,12 +336,13 @@ std::vector<PointId> RTree::RangeQuery(std::span<const Value> lo,
                                        std::span<const Value> hi) const {
   std::vector<PointId> result;
   if (root_ == kInvalid) return result;
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskStream stream =
+      disk_ != nullptr ? DiskStream(disk_) : DiskStream();
   std::vector<uint32_t> stack = {root_};
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
-    ChargeVisit(stream, id);
+    ChargeVisit(stream.id(), id);
     const Node& n = nodes_[id];
     for (const Entry& e : n.entries) {
       if (!Intersects(e.rect, lo, hi)) continue;

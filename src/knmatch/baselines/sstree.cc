@@ -202,7 +202,8 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
     return Status::InvalidArgument("k exceeds the number of points");
   }
 
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskStream stream =
+      disk_ != nullptr ? DiskStream(disk_) : DiskStream();
   last_nodes_visited_ = 0;
 
   struct QueueItem {
@@ -228,7 +229,7 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
       result.matches.push_back(Neighbor{item.pid, item.mindist});
       continue;
     }
-    ChargeVisit(stream, item.node);
+    ChargeVisit(stream.id(), item.node);
     ++last_nodes_visited_;
     const Node& n = nodes_[item.node];
     for (const Entry& e : n.entries) {

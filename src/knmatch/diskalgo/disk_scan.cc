@@ -59,12 +59,12 @@ Result<KnMatchResult> DiskScan::KnMatch(std::span<const Value> query,
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskStream stream = rows_.OpenStream();
   BoundedTopK<PointId, Value, PointId> top(k);
   std::vector<Value> diffs;
   uint64_t rows_seen = 0;
   Status io = rows_.ForEachRowWhile(
-      stream, [&](PointId pid, std::span<const Value> p) {
+      stream.id(), [&](PointId pid, std::span<const Value> p) {
         SortedAbsDifferences(p, query, &diffs);
         top.Offer(diffs[n - 1], pid, pid);
         ++rows_seen;
@@ -101,11 +101,11 @@ Result<FrequentKnMatchResult> DiskScan::FrequentKnMatch(
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskStream stream = rows_.OpenStream();
   std::vector<Value> diffs;
   uint64_t rows_seen = 0;
   Status io = rows_.ForEachRowWhile(
-      stream, [&](PointId pid, std::span<const Value> p) {
+      stream.id(), [&](PointId pid, std::span<const Value> p) {
         SortedAbsDifferences(p, query, &diffs);
         for (size_t n = n0; n <= n1; ++n) {
           per_n[n - n0].Offer(diffs[n - 1], pid, pid);
@@ -155,10 +155,10 @@ Result<std::vector<FrequentKnMatchResult>> DiskScan::FrequentKnMatchBatch(
     for (size_t i = 0; i < range; ++i) per_n.emplace_back(k);
   }
 
-  const size_t stream = rows_.OpenStream();
+  const DiskStream stream = rows_.OpenStream();
   std::vector<Value> diffs;
-  Status io =
-      rows_.ForEachRow(stream, [&](PointId pid, std::span<const Value> p) {
+  Status io = rows_.ForEachRow(
+      stream.id(), [&](PointId pid, std::span<const Value> p) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           SortedAbsDifferences(p, queries[qi], &diffs);
           for (size_t n = n0; n <= n1; ++n) {
@@ -193,11 +193,11 @@ Result<KnMatchResult> DiskScan::KnnEuclidean(std::span<const Value> query,
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskStream stream = rows_.OpenStream();
   BoundedTopK<PointId, Value, PointId> top(k);
   uint64_t rows_seen = 0;
   Status io = rows_.ForEachRowWhile(
-      stream, [&](PointId pid, std::span<const Value> p) {
+      stream.id(), [&](PointId pid, std::span<const Value> p) {
         Value sum = 0;
         for (size_t i = 0; i < p.size(); ++i) {
           const Value diff = p[i] - query[i];

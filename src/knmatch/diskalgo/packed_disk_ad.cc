@@ -31,7 +31,7 @@ class PackedDiskColumnAccessor {
   size_t column_size() const { return columns_.column_size(); }
 
   ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t slot) {
-    Result<ColumnEntry> e = columns_.ReadEntry(streams_[slot], dim, idx);
+    Result<ColumnEntry> e = columns_.ReadEntry(streams_[slot].id(), dim, idx);
     if (!e.ok()) {
       status_ = e.status();
       return ColumnEntry{};  // the engine discards it once status() trips
@@ -41,7 +41,7 @@ class PackedDiskColumnAccessor {
 
   size_t ReadRun(size_t dim, size_t idx, size_t len, uint32_t slot,
                  Value* values, PointId* pids) {
-    Result<size_t> n = columns_.ReadRun(streams_[slot], dim, idx, len,
+    Result<size_t> n = columns_.ReadRun(streams_[slot].id(), dim, idx, len,
                                         slot % 2 == 0, values, pids);
     if (!n.ok()) {
       status_ = n.status();
@@ -59,7 +59,7 @@ class PackedDiskColumnAccessor {
 
  private:
   const PackedColumnStore& columns_;
-  std::vector<size_t> streams_;
+  std::vector<DiskStream> streams_;
   Status status_;
 };
 

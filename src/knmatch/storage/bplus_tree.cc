@@ -208,7 +208,7 @@ Result<uint32_t> BPlusTree::DescendToLeaf(const Version& v,
   }
 }
 
-size_t BPlusTree::OpenStream() const { return disk_->OpenStream(); }
+DiskStream BPlusTree::OpenStream() const { return DiskStream(disk_); }
 
 ColumnEntry BPlusTree::Iterator::Get() const {
   assert(Valid());
@@ -264,6 +264,28 @@ void BPlusTree::Iterator::Prev() {
     prev = v_->nodes[prev]->prev;
   }
   node_ = kInvalid;
+}
+
+size_t BPlusTree::Iterator::CopyRun(bool descending, size_t len,
+                                    Value* values, PointId* pids) {
+  assert(Valid() && len >= 1);
+  const std::vector<ColumnEntry>& entries = v_->nodes[node_]->entries;
+  if (descending) {
+    const size_t count = std::min(len, slot_ + 1);
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = entries[slot_ - i].value;
+      pids[i] = entries[slot_ - i].pid;
+    }
+    slot_ -= count - 1;
+    return count;
+  }
+  const size_t count = std::min(len, entries.size() - slot_);
+  for (size_t i = 0; i < count; ++i) {
+    values[i] = entries[slot_ + i].value;
+    pids[i] = entries[slot_ + i].pid;
+  }
+  slot_ += count - 1;
+  return count;
 }
 
 BPlusTree::Iterator BPlusTree::SeekLowerBoundIn(const Version& v,
@@ -429,8 +451,8 @@ Status BPlusTree::Insert(ColumnEntry entry) {
     cur_.height = 1;
   }
   std::vector<uint32_t> path;
-  const size_t stream = disk_->OpenStream();
-  auto leaf_or = DescendToLeaf(cur_, disk_, stream, entry, &path);
+  const DiskStream stream(disk_);
+  auto leaf_or = DescendToLeaf(cur_, disk_, stream.id(), entry, &path);
   if (!leaf_or.ok()) return leaf_or.status();
   const uint32_t leaf = leaf_or.value();
   {
@@ -546,8 +568,8 @@ void BPlusTree::SplitUpward(std::vector<uint32_t>& path,
 Result<bool> BPlusTree::Erase(ColumnEntry entry) {
   if (cur_.root == kInvalid) return false;
   std::vector<uint32_t> path;
-  const size_t stream = disk_->OpenStream();
-  auto leaf_or = DescendToLeaf(cur_, disk_, stream, entry, &path);
+  const DiskStream stream(disk_);
+  auto leaf_or = DescendToLeaf(cur_, disk_, stream.id(), entry, &path);
   if (!leaf_or.ok()) return leaf_or.status();
   const uint32_t leaf = leaf_or.value();
   {

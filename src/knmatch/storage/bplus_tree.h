@@ -144,7 +144,8 @@ class BPlusTree {
   ///
   /// Lifetime: an iterator borrows the Version it was created from —
   /// it must not outlive the tree (live iterators) or the Snapshot
-  /// (snapshot iterators) that produced it.
+  /// (snapshot iterators) that produced it, and the stream it charges
+  /// must stay open while it moves.
   class Iterator {
    public:
     /// True while the iterator points at an entry.
@@ -159,6 +160,13 @@ class BPlusTree {
     /// Moves one entry backward (descending); invalid before the first
     /// entry.
     void Prev();
+    /// Copies up to `len` (>= 1) entries into values[i]/pids[i], from
+    /// the one under the cursor walking ascending, or descending when
+    /// `descending`. Stops at the end of the current leaf, so it never
+    /// charges a page read, and leaves the cursor on the last entry
+    /// copied. Returns the count copied. Requires Valid().
+    size_t CopyRun(bool descending, size_t len, Value* values,
+                   PointId* pids);
 
    private:
     friend class BPlusTree;
@@ -183,7 +191,7 @@ class BPlusTree {
     size_t height() const { return v_ == nullptr ? 0 : v_->height; }
     const DiskSimulator* disk() const { return disk_; }
 
-    size_t OpenStream() const { return disk_->OpenStream(); }
+    DiskStream OpenStream() const { return DiskStream(disk_); }
     Iterator SeekLowerBound(size_t stream, Value v) const;
     Iterator SeekBefore(size_t stream, Value v) const;
     Result<size_t> RankOf(size_t stream, Value v) const;
@@ -201,8 +209,9 @@ class BPlusTree {
   /// Called by the ingest writer after a durable commit.
   Snapshot CreateSnapshot();
 
-  /// Opens an I/O stream for a cursor (each AD direction gets its own).
-  size_t OpenStream() const;
+  /// Opens an I/O stream for a cursor (each AD direction gets its own),
+  /// released when the handle goes away.
+  DiskStream OpenStream() const;
 
   /// Seeks to the first entry with (value, pid) >= (v, 0); the
   /// traversal charges height() page reads to `stream`. The returned

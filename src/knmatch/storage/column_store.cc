@@ -44,7 +44,7 @@ ColumnStore::ColumnStore(const SortedColumns& sorted, DiskSimulator* disk)
   }
 }
 
-size_t ColumnStore::OpenStream() const { return disk_->OpenStream(); }
+DiskStream ColumnStore::OpenStream() const { return DiskStream(disk_); }
 
 ColumnEntry ColumnStore::DecodeEntry(std::span<const std::byte> image,
                                      size_t slot) const {

@@ -39,8 +39,9 @@ class ColumnStore {
   /// The paged file behind the store (for tests that compare images).
   const PagedFile& file() const { return file_; }
 
-  /// Opens an I/O accounting stream (one per cursor direction).
-  size_t OpenStream() const;
+  /// Opens an I/O accounting stream (one per cursor direction),
+  /// released when the handle goes away.
+  DiskStream OpenStream() const;
 
   /// The simulator this store charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

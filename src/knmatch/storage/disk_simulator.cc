@@ -17,10 +17,24 @@ uint64_t DiskSimulator::AllocatePages(uint64_t count) {
 
 size_t DiskSimulator::OpenStream() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (!free_streams_.empty()) {
+    const size_t stream = free_streams_.back();
+    free_streams_.pop_back();
+    stream_last_page_[stream] = 0;
+    stream_has_pos_[stream] = false;
+    stream_buffer_valid_[stream] = false;
+    return stream;
+  }
   stream_last_page_.push_back(0);
   stream_has_pos_.push_back(false);
   stream_buffer_valid_.push_back(false);
   return stream_last_page_.size() - 1;
+}
+
+void DiskSimulator::CloseStream(size_t stream) {
+  std::lock_guard<std::mutex> lock(mu_);
+  assert(stream < stream_last_page_.size());
+  free_streams_.push_back(stream);
 }
 
 bool DiskSimulator::BufferPool::Lookup(uint64_t page) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "knmatch/common/status.h"
@@ -93,8 +94,16 @@ class DiskSimulator {
   uint64_t AllocatePages(uint64_t count);
 
   /// Opens an access stream (a cursor with its own read-ahead state).
-  /// Streams are cheap; open one per independent cursor.
+  /// Streams are cheap; open one per independent cursor. A stream's
+  /// lifetime is open, use, release: CloseStream() hands its id back,
+  /// and a later OpenStream() may return that id again, reset — its
+  /// first read counts as random, exactly as on a never-used stream.
+  /// Prefer the DiskStream handle, which releases on destruction.
   size_t OpenStream();
+
+  /// Releases `stream` for reuse. The id must be open and must not be
+  /// read through afterwards.
+  void CloseStream(size_t stream);
 
   /// Outcome of one physical read attempt (mirrors
   /// FaultInjector::Outcome so callers need not reach the injector).
@@ -204,6 +213,8 @@ class DiskSimulator {
   std::vector<uint64_t> stream_last_page_;
   std::vector<bool> stream_has_pos_;
   std::vector<bool> stream_buffer_valid_;
+  /// Closed stream ids, reused (last closed first) by OpenStream().
+  std::vector<size_t> free_streams_;
   uint64_t head_last_page_ = 0;
   bool head_has_pos_ = false;
   bool head_buffer_valid_ = false;
@@ -226,6 +237,43 @@ class DiskSimulator {
     void Clear();
   };
   BufferPool pool_;
+};
+
+/// A move-only handle on one open stream of a DiskSimulator, released
+/// (DiskSimulator::CloseStream) when the handle is destroyed or
+/// assigned over. A default-constructed handle holds no stream; its
+/// id() is 0, which simulator-less callers pass through unused.
+class DiskStream {
+ public:
+  DiskStream() = default;
+  explicit DiskStream(DiskSimulator* disk)
+      : disk_(disk), id_(disk->OpenStream()) {}
+  DiskStream(DiskStream&& other) noexcept
+      : disk_(std::exchange(other.disk_, nullptr)), id_(other.id_) {}
+  DiskStream& operator=(DiskStream&& other) noexcept {
+    if (this != &other) {
+      Release();
+      disk_ = std::exchange(other.disk_, nullptr);
+      id_ = other.id_;
+    }
+    return *this;
+  }
+  DiskStream(const DiskStream&) = delete;
+  DiskStream& operator=(const DiskStream&) = delete;
+  ~DiskStream() { Release(); }
+
+  /// The simulator's stream id, passed to its read calls.
+  size_t id() const { return id_; }
+  /// True while the handle holds a stream.
+  bool is_open() const { return disk_ != nullptr; }
+
+ private:
+  void Release() {
+    if (disk_ != nullptr) disk_->CloseStream(id_);
+    disk_ = nullptr;
+  }
+  DiskSimulator* disk_ = nullptr;
+  size_t id_ = 0;
 };
 
 }  // namespace knmatch

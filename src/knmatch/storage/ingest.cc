@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "knmatch/core/sorted_columns.h"
 #include "knmatch/obs/catalog.h"
 
 namespace knmatch {
@@ -30,20 +31,13 @@ LiveColumnIndex::LiveColumnIndex(const Dataset& base, DiskSimulator* disk,
               base_flat_.begin() + static_cast<ptrdiff_t>(pid * dims_));
   }
 
-  // Bulk load one tree per dimension, exactly like BTreeColumns.
+  // Bulk load one tree per dimension from the shared column sort,
+  // exactly like BTreeColumns.
+  const SortedColumns sorted(base);
   std::vector<ColumnEntry> column(base_size_);
   trees_.reserve(dims_);
   for (size_t dim = 0; dim < dims_; ++dim) {
-    for (size_t i = 0; i < base_size_; ++i) {
-      column[i] =
-          ColumnEntry{base.at(static_cast<PointId>(i), dim),
-                      static_cast<PointId>(i)};
-    }
-    std::sort(column.begin(), column.end(),
-              [](const ColumnEntry& a, const ColumnEntry& b) {
-                if (a.value != b.value) return a.value < b.value;
-                return a.pid < b.pid;
-              });
+    for (size_t i = 0; i < base_size_; ++i) column[i] = sorted.entry(dim, i);
     auto tree = std::make_unique<BPlusTree>(disk_);
     tree->EnableReclamation();
     tree->BulkLoad(column);

@@ -217,7 +217,9 @@ PackedColumnStore::PackedColumnStore(const Dataset& db, DiskSimulator* disk)
   }
 }
 
-size_t PackedColumnStore::OpenStream() const { return disk_->OpenStream(); }
+DiskStream PackedColumnStore::OpenStream() const {
+  return DiskStream(disk_);
+}
 
 size_t PackedColumnStore::PageOf(size_t dim, size_t idx) const {
   const auto& infos = pages_[dim];

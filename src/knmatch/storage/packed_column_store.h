@@ -38,8 +38,9 @@ class PackedColumnStore {
   /// ColumnStore's num_pages() for the on-disk compression ratio).
   size_t num_pages() const { return file_.num_pages(); }
 
-  /// Opens an I/O accounting stream (one per cursor direction).
-  size_t OpenStream() const;
+  /// Opens an I/O accounting stream (one per cursor direction),
+  /// released when the handle goes away.
+  DiskStream OpenStream() const;
 
   /// The simulator this store charges its I/O to.
   const DiskSimulator* disk() const { return disk_; }

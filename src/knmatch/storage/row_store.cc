@@ -23,7 +23,7 @@ RowStore::RowStore(const Dataset& db, DiskSimulator* disk)
   if (!image.empty()) file_.AppendPage(image);
 }
 
-size_t RowStore::OpenStream() const { return disk_->OpenStream(); }
+DiskStream RowStore::OpenStream() const { return DiskStream(disk_); }
 
 Result<std::span<const Value>> RowStore::ReadRow(
     size_t stream, PointId pid, std::vector<Value>* buf) const {

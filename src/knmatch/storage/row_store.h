@@ -30,8 +30,9 @@ class RowStore {
   /// Rows stored per page.
   size_t rows_per_page() const { return rows_per_page_; }
 
-  /// Opens an I/O accounting stream on the underlying disk.
-  size_t OpenStream() const;
+  /// Opens an I/O accounting stream on the underlying disk, released
+  /// when the handle goes away.
+  DiskStream OpenStream() const;
 
   /// The simulator this store charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

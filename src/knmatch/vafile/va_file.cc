@@ -126,7 +126,7 @@ std::vector<VaFile::CellBound> VaFile::BoundsFor(
   return bounds;
 }
 
-size_t VaFile::OpenStream() const { return disk_->OpenStream(); }
+DiskStream VaFile::OpenStream() const { return DiskStream(disk_); }
 
 Status VaFile::ForEachApprox(
     size_t stream,

@@ -59,8 +59,9 @@ class VaFile {
   /// the cell edges (CellLower/CellUpper) per point.
   std::vector<CellBound> BoundsFor(std::span<const Value> query) const;
 
-  /// Opens an I/O accounting stream.
-  size_t OpenStream() const;
+  /// Opens an I/O accounting stream, released when the handle goes
+  /// away.
+  DiskStream OpenStream() const;
 
   /// The simulator this file charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

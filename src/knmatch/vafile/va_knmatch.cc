@@ -64,8 +64,8 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
   const size_t cells = va_.cells();
   std::vector<Value> lb(d), ub(d);
   uint64_t approx_seen = 0;
-  const size_t va_stream = va_.OpenStream();
-  Status io = va_.ForEachApproxWhile(va_stream, [&](PointId pid,
+  const DiskStream va_stream = va_.OpenStream();
+  Status io = va_.ForEachApproxWhile(va_stream.id(), [&](PointId pid,
                                                     std::span<const uint32_t>
                                                         codes) {
     for (size_t dim = 0; dim < d; ++dim) {
@@ -108,7 +108,7 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
   per_n.reserve(range);
   for (size_t i = 0; i < range; ++i) per_n.emplace_back(k);
 
-  const size_t row_stream = rows_.OpenStream();
+  const DiskStream row_stream = rows_.OpenStream();
   std::vector<Value> buf, diffs;
   uint64_t refined = 0;
   {
@@ -122,7 +122,7 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
         break;
       }
       Result<std::span<const Value>> p =
-          rows_.ReadRow(row_stream, pid, &buf);
+          rows_.ReadRow(row_stream.id(), pid, &buf);
       if (!p.ok()) return p.status();
       SortedAbsDifferences(p.value(), query, &diffs);
       for (size_t n = n0; n <= n1; ++n) {

@@ -28,8 +28,8 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
 
   const std::vector<VaFile::CellBound> bounds = va_.BoundsFor(query);
   const size_t cells = va_.cells();
-  const size_t va_stream = va_.OpenStream();
-  Status io = va_.ForEachApprox(va_stream, [&](PointId pid,
+  const DiskStream va_stream = va_.OpenStream();
+  Status io = va_.ForEachApprox(va_stream.id(), [&](PointId pid,
                                                std::span<const uint32_t>
                                                    codes) {
     Value lb2 = 0, ub2 = 0;
@@ -54,7 +54,7 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
             });
 
   BoundedTopK<PointId, Value, PointId> top(k);
-  const size_t row_stream = rows_.OpenStream();
+  const DiskStream row_stream = rows_.OpenStream();
   std::vector<Value> buf;
   last_points_refined_ = 0;
   {
@@ -62,7 +62,7 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
     for (const Candidate& cand : candidates) {
       if (top.full() && cand.lb > top.threshold()) break;
       Result<std::span<const Value>> row =
-          rows_.ReadRow(row_stream, cand.pid, &buf);
+          rows_.ReadRow(row_stream.id(), cand.pid, &buf);
       if (!row.ok()) return row.status();
       std::span<const Value> p = row.value();
       Value sum = 0;

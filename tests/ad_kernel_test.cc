@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,6 +23,9 @@
 #include "knmatch/core/ad_scratch.h"
 #include "knmatch/core/sorted_columns.h"
 #include "knmatch/datagen/generators.h"
+#include "knmatch/diskalgo/btree_accessor.h"
+#include "knmatch/diskalgo/btree_ad.h"
+#include "knmatch/storage/bplus_tree.h"
 #include "knmatch/storage/column_store.h"
 #include "knmatch/storage/disk_simulator.h"
 #include "knmatch/storage/fault_injector.h"
@@ -323,7 +327,7 @@ class TestDiskAccessor {
   size_t column_size() const { return columns_.column_size(); }
 
   ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t slot) {
-    Result<ColumnEntry> e = columns_.ReadEntry(streams_[slot], dim, idx);
+    Result<ColumnEntry> e = columns_.ReadEntry(streams_[slot].id(), dim, idx);
     if (!e.ok()) {
       status_ = e.status();
       return ColumnEntry{};
@@ -335,7 +339,7 @@ class TestDiskAccessor {
                  Value* values, PointId* pids)
     requires(kWithReadRun)
   {
-    Result<size_t> n = columns_.ReadRun(streams_[slot], dim, idx, len,
+    Result<size_t> n = columns_.ReadRun(streams_[slot].id(), dim, idx, len,
                                         slot % 2 == 0, values, pids);
     if (!n.ok()) {
       status_ = n.status();
@@ -352,7 +356,7 @@ class TestDiskAccessor {
 
  private:
   const ColumnStore& columns_;
-  std::vector<size_t> streams_;
+  std::vector<DiskStream> streams_;
   Status status_;
 };
 
@@ -435,6 +439,206 @@ TEST(AdKernelDiskTest, FaultSoakStaysBitIdentical) {
   FaultInjector kernel_faults(faults);
   FaultInjector reference_faults(faults);
   DiskDifferentialSoak(&kernel_faults, &reference_faults, 60, "faulted");
+}
+
+// ---------------------------------------------------------------------------
+// B+-tree columns: leaf-run reads against the per-entry reference
+
+/// BPlusTree's bulk-load leaf fill: a column's leaf boundaries sit at
+/// multiples of this rank until erases shift them.
+constexpr size_t kLeafEntries = 256;
+
+/// Per-dimension B+-trees over `db` on `disk`, bulk-loaded from the
+/// shared column sort; the points in `erased` then leave every tree.
+struct TestTrees {
+  std::vector<std::unique_ptr<BPlusTree>> trees;
+  size_t pid_bound;
+
+  TestTrees(const Dataset& db, const SortedColumns& sorted,
+            DiskSimulator* disk, bool reclaim,
+            const std::vector<PointId>& erased)
+      : pid_bound(db.size()) {
+    std::vector<ColumnEntry> column(db.size());
+    for (size_t dim = 0; dim < db.dims(); ++dim) {
+      for (size_t i = 0; i < column.size(); ++i) {
+        column[i] = sorted.entry(dim, i);
+      }
+      auto tree = std::make_unique<BPlusTree>(disk);
+      if (reclaim) tree->EnableReclamation();
+      tree->BulkLoad(column);
+      for (const PointId pid : erased) {
+        Result<bool> gone = tree->Erase(ColumnEntry{db.at(pid, dim), pid});
+        EXPECT_TRUE(gone.ok() && gone.value());
+      }
+      trees.push_back(std::move(tree));
+    }
+  }
+
+  SnapshotColumns Freeze() {
+    std::vector<BPlusTree::Snapshot> snaps;
+    for (auto& tree : trees) snaps.push_back(tree->CreateSnapshot());
+    return SnapshotColumns(std::move(snaps), pid_bound);
+  }
+};
+
+static_assert(internal::RunReadingAccessor<
+              internal::BTreeColumnAccessor<SnapshotColumns>>);
+
+/// Points whose rank in dimension 0 or 1 falls in one of a few bands
+/// wider than a leaf: erasing them from every tree empties at least
+/// one whole leaf of each of those two columns.
+std::vector<PointId> LeafEmptyingErasures(const SortedColumns& sorted) {
+  std::vector<bool> erase(sorted.size(), false);
+  for (size_t dim = 0; dim < 2; ++dim) {
+    for (const size_t leaf : {1u, 4u, 5u}) {
+      const size_t from = leaf * kLeafEntries - 20;
+      for (size_t i = from; i < from + kLeafEntries + 40; ++i) {
+        erase[sorted.pids(dim)[i]] = true;
+      }
+    }
+  }
+  std::vector<PointId> pids;
+  for (PointId pid = 0; pid < erase.size(); ++pid) {
+    if (erase[pid]) pids.push_back(pid);
+  }
+  return pids;
+}
+
+/// A query coordinate for `dim`: mostly the value at (or one off) a
+/// bulk-load leaf boundary, so cursors start on a leaf's first or last
+/// entry; otherwise anywhere in or just outside the data's range.
+Value LeafEdgeCoordinate(const SortedColumns& sorted, size_t dim, Rng& rng) {
+  if (rng.Bernoulli(0.25)) return rng.Uniform(-0.1, 1.1);
+  const size_t leaves = sorted.size() / kLeafEntries;
+  const size_t edge = (1 + rng.UniformInt(leaves - 1)) * kLeafEntries;
+  const size_t idx = edge - 1 + rng.UniformInt(3);
+  return sorted.values(dim)[idx];
+}
+
+/// Runs one randomized query stream through (a) the kernel over the
+/// B+-tree accessor, which reads leaf runs, and (b) the reference heap
+/// engine over the same accessor type, which reads entry by entry;
+/// each side on its own identically built trees and simulator. Answers,
+/// attribute charges, statuses and I/O counters must match after every
+/// query. Returns how many queries failed after every cursor had
+/// started — a failure a leaf crossing caused, since steps inside a
+/// leaf read no page.
+size_t BTreeDifferentialSoak(const Dataset& db, bool erase_leaves,
+                             bool reclaim, const FaultInjector::Config* faults,
+                             size_t queries, const char* what) {
+  DiskConfig config;
+  config.buffer_pool_pages = 8;
+  const SortedColumns sorted(db);
+  const std::vector<PointId> erased =
+      erase_leaves ? LeafEmptyingErasures(sorted) : std::vector<PointId>{};
+
+  DiskSimulator kernel_disk(config);
+  TestTrees kernel_trees(db, sorted, &kernel_disk, reclaim, erased);
+  const SnapshotColumns kernel_columns = kernel_trees.Freeze();
+  DiskSimulator reference_disk(config);
+  TestTrees reference_trees(db, sorted, &reference_disk, reclaim, erased);
+  const SnapshotColumns reference_columns = reference_trees.Freeze();
+
+  std::optional<FaultInjector> kernel_faults;
+  std::optional<FaultInjector> reference_faults;
+  if (faults != nullptr) {
+    kernel_faults.emplace(*faults);
+    reference_faults.emplace(*faults);
+    kernel_disk.set_fault_injector(&*kernel_faults);
+    reference_disk.set_fault_injector(&*reference_faults);
+  }
+
+  Rng rng(61);
+  size_t crossing_failures = 0;
+  for (size_t qi = 0; qi < queries; ++qi) {
+    std::vector<Value> q(db.dims());
+    for (size_t dim = 0; dim < q.size(); ++dim) {
+      q[dim] = LeafEdgeCoordinate(sorted, dim, rng);
+    }
+    const size_t n1 = 1 + rng.UniformInt(db.dims());
+    const size_t n0 = rng.Bernoulli(0.5) ? n1 : 1 + rng.UniformInt(n1);
+    const size_t k = 1 + rng.UniformInt(400);
+
+    internal::BTreeColumnAccessor<SnapshotColumns> kernel_acc(kernel_columns,
+                                                              q);
+    internal::BTreeColumnAccessor<SnapshotColumns> reference_acc(
+        reference_columns, q);
+    const AdOutput kernel = RunAdSearch(kernel_acc, q, n0, n1, k);
+    const AdOutput reference =
+        RunAdSearchReference(reference_acc, q, n0, n1, k);
+
+    EXPECT_EQ(kernel_acc.status().code(), reference_acc.status().code())
+        << what << " query " << qi;
+    ExpectSameOutput(kernel, reference, what, qi);
+    EXPECT_EQ(DiskCounters(kernel_disk), DiskCounters(reference_disk))
+        << what << " query " << qi;
+    if (!kernel_acc.status().ok() &&
+        kernel.attributes_retrieved > 2 * db.dims()) {
+      ++crossing_failures;
+    }
+  }
+  return crossing_failures;
+}
+
+TEST(AdKernelBTreeTest, LeafRunsChargeIdenticallyToEntryReads) {
+  BTreeDifferentialSoak(datagen::MakeUniform(3000, 3, 71), false, false,
+                        nullptr, 80, "bulk-loaded");
+}
+
+TEST(AdKernelBTreeTest, DuplicateValuesAcrossLeafEdges) {
+  // A 16-level grid: runs of equal values span whole leaves, so seeks
+  // and leaf crossings land inside ties.
+  BTreeDifferentialSoak(Quantize(datagen::MakeUniform(3000, 3, 72), 16.0),
+                        false, false, nullptr, 80, "duplicate");
+}
+
+TEST(AdKernelBTreeTest, EraseEmptiedLeavesAreSkippedIdentically) {
+  BTreeDifferentialSoak(datagen::MakeUniform(3000, 3, 73), true, false,
+                        nullptr, 80, "emptied leaves kept");
+}
+
+TEST(AdKernelBTreeTest, ReclaimedLeavesAreSkippedIdentically) {
+  BTreeDifferentialSoak(datagen::MakeUniform(3000, 3, 74), true, true,
+                        nullptr, 80, "emptied leaves reclaimed");
+}
+
+TEST(AdKernelBTreeTest, FaultsDuringLeafCrossingsStayBitIdentical) {
+  // Each side gets its own injector with one seed: both must issue the
+  // same physical attempt sequence to see the same faults.
+  FaultInjector::Config faults;
+  faults.seed = 79;
+  faults.transient_error_rate = 0.2;
+  faults.corruption_rate = 0.005;
+  for (const bool reclaim : {false, true}) {
+    const size_t crossing_failures =
+        BTreeDifferentialSoak(datagen::MakeUniform(3000, 3, 75), true,
+                              reclaim, &faults, 120, "faulted");
+    EXPECT_GT(crossing_failures, 0u) << "reclaim " << reclaim;
+  }
+}
+
+TEST(AdKernelBTreeTest, LiveTreesMatchTheReference) {
+  // BTreeColumns (live, not snapshotted trees) shares the accessor.
+  const Dataset db = datagen::MakeUniform(2000, 4, 76);
+  DiskSimulator kernel_disk;
+  const BTreeColumns kernel_columns(db, &kernel_disk);
+  DiskSimulator reference_disk;
+  const BTreeColumns reference_columns(db, &reference_disk);
+  Rng rng(77);
+  for (size_t qi = 0; qi < 40; ++qi) {
+    std::vector<Value> q(db.dims());
+    for (Value& v : q) v = rng.Uniform01();
+    const size_t n = 1 + rng.UniformInt(db.dims());
+    const size_t k = 1 + rng.UniformInt(300);
+    internal::BTreeColumnAccessor<BTreeColumns> kernel_acc(kernel_columns, q);
+    internal::BTreeColumnAccessor<BTreeColumns> reference_acc(
+        reference_columns, q);
+    ExpectSameOutput(RunAdSearch(kernel_acc, q, n, n, k),
+                     RunAdSearchReference(reference_acc, q, n, n, k),
+                     "live trees", qi);
+    EXPECT_EQ(DiskCounters(kernel_disk), DiskCounters(reference_disk))
+        << "query " << qi;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // of Theorem 3.2.
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,9 @@
 namespace knmatch {
 namespace {
 
-enum class Gen { kUniform, kSkewed, kCorrelated };
+// 64-bit, so Params has no padding: gtest prints a parameter's raw
+// bytes into the test names, and padding bytes are indeterminate.
+enum class Gen : uint64_t { kUniform, kSkewed, kCorrelated };
 
 struct Params {
   size_t cardinality;
@@ -27,6 +31,7 @@ struct Params {
   Gen gen;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Params>);
 
 Dataset MakeData(const Params& p) {
   switch (p.gen) {

@@ -33,7 +33,8 @@ TEST(BPlusTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 0u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   EXPECT_FALSE(tree.SeekLowerBound(s, 0.5).Valid());
   EXPECT_FALSE(tree.SeekBefore(s, 0.5).Valid());
   EXPECT_EQ(tree.RankOf(s, 0.5).value(), 0u);
@@ -64,7 +65,8 @@ TEST(BPlusTreeTest, ForwardScanVisitsAllInOrder) {
   BPlusTree tree(&disk);
   auto entries = SortedEntries(5000, 3);
   tree.BulkLoad(entries);
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);
   for (const ColumnEntry& expected : entries) {
     ASSERT_TRUE(it.Valid());
@@ -79,7 +81,8 @@ TEST(BPlusTreeTest, BackwardScanVisitsAllInReverse) {
   BPlusTree tree(&disk);
   auto entries = SortedEntries(5000, 4);
   tree.BulkLoad(entries);
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekBefore(s, 2.0);  // after everything
   for (size_t i = entries.size(); i-- > 0;) {
     ASSERT_TRUE(it.Valid());
@@ -89,13 +92,87 @@ TEST(BPlusTreeTest, BackwardScanVisitsAllInReverse) {
   EXPECT_FALSE(it.Valid());
 }
 
+TEST(BPlusTreeTest, CopyRunStopsAtTheLeafEndWithoutCharging) {
+  // Bulk-loaded leaves hold 256 entries: [0, 256), [256, 512), ...
+  DiskSimulator disk;
+  BPlusTree tree(&disk);
+  auto entries = SortedEntries(1000, 6);
+  tree.BulkLoad(entries);
+  Value values[64];
+  PointId pids[64];
+
+  const DiskStream up = tree.OpenStream();
+  auto it = tree.SeekLowerBound(up.id(), entries[250].value);
+  uint64_t reads = disk.total_reads();
+  ASSERT_EQ(it.CopyRun(/*descending=*/false, 64, values, pids), 6u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ((ColumnEntry{values[i], pids[i]}), entries[250 + i]);
+  }
+  EXPECT_EQ(disk.total_reads(), reads);
+  EXPECT_EQ(it.Get(), entries[255]);  // on the last entry copied
+  it.Next();                           // the leaf crossing is charged
+  EXPECT_EQ(disk.total_reads(), reads + 1);
+  ASSERT_EQ(it.CopyRun(false, 64, values, pids), 64u);
+  EXPECT_EQ((ColumnEntry{values[63], pids[63]}), entries[319]);
+  EXPECT_EQ(it.Get(), entries[319]);
+
+  const DiskStream down = tree.OpenStream();
+  it = tree.SeekBefore(down.id(), entries[260].value);
+  reads = disk.total_reads();
+  ASSERT_EQ(it.CopyRun(/*descending=*/true, 64, values, pids), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ((ColumnEntry{values[i], pids[i]}), entries[259 - i]);
+  }
+  EXPECT_EQ(it.Get(), entries[256]);
+  it.Prev();
+  EXPECT_EQ(disk.total_reads(), reads + 1);
+  ASSERT_EQ(it.CopyRun(true, 2, values, pids), 2u);
+  EXPECT_EQ(it.Get(), entries[254]);
+}
+
+TEST(BPlusTreeTest, RunWalkChargesLikeAnEntryWalk) {
+  // Walking a column by runs (copy, then one step) visits the same
+  // entries and charges the same pages as stepping entry by entry.
+  auto entries = SortedEntries(3000, 7);
+  DiskSimulator run_disk;
+  BPlusTree run_tree(&run_disk);
+  run_tree.BulkLoad(entries);
+  DiskSimulator entry_disk;
+  BPlusTree entry_tree(&entry_disk);
+  entry_tree.BulkLoad(entries);
+
+  const DiskStream run_stream = run_tree.OpenStream();
+  const DiskStream entry_stream = entry_tree.OpenStream();
+  auto run = run_tree.SeekLowerBound(run_stream.id(), -1.0);
+  auto entry = entry_tree.SeekLowerBound(entry_stream.id(), -1.0);
+  Value values[100];
+  PointId pids[100];
+  size_t at = 0;
+  while (run.Valid()) {
+    const size_t got = run.CopyRun(false, 100, values, pids);
+    for (size_t i = 0; i < got; ++i, ++at) {
+      ASSERT_TRUE(entry.Valid());
+      EXPECT_EQ((ColumnEntry{values[i], pids[i]}), entries[at]);
+      EXPECT_EQ(entry.Get(), entries[at]);
+      entry.Next();
+    }
+    run.Next();
+    EXPECT_EQ(run_disk.total_reads(), entry_disk.total_reads());
+  }
+  EXPECT_EQ(at, entries.size());
+  EXPECT_FALSE(entry.Valid());
+  EXPECT_EQ(run_disk.random_reads(), entry_disk.random_reads());
+  EXPECT_EQ(run_disk.sequential_reads(), entry_disk.sequential_reads());
+}
+
 TEST(BPlusTreeTest, SeekAgreesWithStdLowerBound) {
   DiskSimulator disk;
   BPlusTree tree(&disk);
   auto entries = SortedEntries(3000, 5);
   tree.BulkLoad(entries);
   Rng rng(77);
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   for (int trial = 0; trial < 300; ++trial) {
     const Value v = rng.Uniform(-0.1, 1.1);
     auto expected = std::lower_bound(
@@ -130,7 +207,8 @@ TEST(BPlusTreeTest, SeekChargesRootToLeafPages) {
   // Use the tree's stream accounting: a fresh stream's seek charges
   // height() node visits (all random for the first seek).
   (void)s;
-  const size_t stream = tree.OpenStream();
+  const DiskStream stream_handle = tree.OpenStream();
+  const size_t stream = stream_handle.id();
   disk.ResetCounters();
   tree.SeekLowerBound(stream, 0.5);
   EXPECT_EQ(disk.total_reads(), tree.height());
@@ -158,7 +236,8 @@ TEST(BPlusTreeTest, InsertIntoEmptyAndGrow) {
               if (a.value != b.value) return a.value < b.value;
               return a.pid < b.pid;
             });
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);
   for (const ColumnEntry& expected : reference) {
     ASSERT_TRUE(it.Valid());
@@ -193,7 +272,8 @@ TEST(BPlusTreeTest, EraseExistingAndMissing) {
   EXPECT_TRUE(tree.CheckInvariants().ok());
 
   // The erased entry is skipped by scans.
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);
   size_t seen = 0;
   while (it.Valid()) {
@@ -214,7 +294,8 @@ TEST(BPlusTreeTest, EraseWholeLeafThenIterate) {
     ASSERT_TRUE(tree.Erase(entries[i]).value());
   }
   EXPECT_TRUE(tree.CheckInvariants().ok());
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);
   size_t seen = 0;
   while (it.Valid()) {

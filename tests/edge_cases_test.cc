@@ -106,7 +106,8 @@ TEST(EdgeCases, RowStoreExactlyFullPages) {
   RowStore rows(db, &disk);
   EXPECT_EQ(rows.rows_per_page(), 63u);
   EXPECT_EQ(rows.num_pages(), 2u);
-  const size_t s = rows.OpenStream();
+  const DiskStream s_handle = rows.OpenStream();
+  const size_t s = s_handle.id();
   std::vector<Value> buf;
   auto row = rows.ReadRow(s, 125, &buf);
   ASSERT_TRUE(row.ok());
@@ -122,7 +123,8 @@ TEST(EdgeCases, ColumnStoreSingleEntryPerPage) {
   EXPECT_EQ(store.entries_per_page(), 1u);
   EXPECT_EQ(store.num_pages(), 40u);
   SortedColumns reference(db);
-  const size_t s = store.OpenStream();
+  const DiskStream s_handle = store.OpenStream();
+  const size_t s = s_handle.id();
   for (size_t idx = 0; idx < 20; ++idx) {
     auto entry = store.ReadEntry(s, 1, idx);
     ASSERT_TRUE(entry.ok());
@@ -278,7 +280,8 @@ TEST(EdgeCases, BPlusTreeAscendingInsertWorstCase) {
   EXPECT_EQ(tree.size(), 3000u);
   ASSERT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);
   for (PointId pid = 0; pid < 3000; ++pid) {
     ASSERT_TRUE(it.Valid());

@@ -1,10 +1,13 @@
 #include "knmatch/engine.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "knmatch/core/nmatch_naive.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/datagen/texture_like.h"
+#include "knmatch/storage/disk_simulator.h"
 
 namespace knmatch {
 namespace {
@@ -75,6 +78,24 @@ TEST(SimilarityEngineTest, DiskCostIsReportedPerCall) {
   ASSERT_TRUE(ad.ok());
   const auto ad_cost = engine.last_disk_cost();
   EXPECT_LT(ad_cost.total_pages(), scan_cost.total_pages());
+}
+
+TEST(SimilarityEngineTest, DiskQueriesReleaseTheirStreams) {
+  // Every disk method opens its streams per query and releases them on
+  // return, so stream ids stay below a bound however many queries ran.
+  constexpr size_t kDims = 6;
+  SimilarityEngine engine(datagen::MakeUniform(600, kDims, 114));
+  const SimilarityEngine::DiskMethod methods[] = {
+      SimilarityEngine::DiskMethod::kAuto, SimilarityEngine::DiskMethod::kAd,
+      SimilarityEngine::DiskMethod::kVaFile,
+      SimilarityEngine::DiskMethod::kScan};
+  for (size_t i = 0; i < 1000; ++i) {
+    const auto point = engine.dataset().point(static_cast<PointId>(i % 600));
+    const std::vector<Value> q(point.begin(), point.end());
+    ASSERT_TRUE(engine.DiskFrequentKnMatch(q, 2, 4, 5, methods[i % 4]).ok());
+  }
+  const DiskStream probe(engine.disk_simulator());
+  EXPECT_LT(probe.id(), 4 * kDims + 8);
 }
 
 TEST(SimilarityEngineTest, AutoRoutingPicksTheMeasuredWinner) {

@@ -350,7 +350,8 @@ TEST(BPlusTreeFaultTest, SeeksAndMutationsReportUnreadableNodes) {
   FaultInjector injector(
       FaultInjector::Config{.seed = 3, .transient_error_rate = 1.0});
   disk.set_fault_injector(&injector);
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+  const size_t s = s_handle.id();
 
   auto it = tree.SeekLowerBound(s, 0.5);
   EXPECT_FALSE(it.Valid());
@@ -374,7 +375,9 @@ TEST(BPlusTreeFaultTest, IteratorLatchesErrorAtLeafBoundary) {
   }
   tree.BulkLoad(entries);
 
-  const size_t s = tree.OpenStream();
+  const DiskStream s_handle = tree.OpenStream();
+
+  const size_t s = s_handle.id();
   auto it = tree.SeekLowerBound(s, -1.0);  // healthy seek to the front
   ASSERT_TRUE(it.Valid());
 

@@ -78,7 +78,8 @@ TEST_P(FuzzSeeds, BPlusTreeMatchesReferenceUnderRandomOps) {
           << tree.CheckInvariants().ToString() << " at op " << op;
       ASSERT_EQ(tree.size(), reference.size());
       // Probe a few random seeks.
-      const size_t stream = tree.OpenStream();
+      const DiskStream stream_handle = tree.OpenStream();
+      const size_t stream = stream_handle.id();
       for (int probe = 0; probe < 10; ++probe) {
         const Value v = rng.Uniform(-0.1, 1.1);
         auto expected = std::find_if(

@@ -154,6 +154,50 @@ TEST(LiveColumnIndexTest, InsertEraseAndSnapshotMatchQuiescedMirror) {
   EXPECT_TRUE(StatusIs(live.CoordsOf(0), StatusCode::kNotFound));
 }
 
+TEST(LiveColumnIndexTest, BulkLoadPagesMatchTheComparatorSort) {
+  // Duplicate-heavy values with signed zeros: ties span leaves, and
+  // −0.0 and +0.0 tie by pid while each keeps its sign in the pages.
+  constexpr size_t kRows = 1200;
+  constexpr size_t kDims = 3;
+  Matrix m(kRows, kDims);
+  Rng rng(23);
+  for (size_t row = 0; row < kRows; ++row) {
+    for (size_t dim = 0; dim < kDims; ++dim) {
+      const uint64_t r = rng.UniformInt(6);
+      m.at(row, dim) = r == 0   ? -0.0
+                       : r == 1 ? 0.0
+                                : Value(rng.UniformInt(8)) / 8.0;
+    }
+  }
+  const Dataset base(std::move(m));
+  DiskSimulator disk;
+  const LiveColumnIndex live(base, &disk);
+
+  DiskSimulator reference_disk;
+  for (size_t dim = 0; dim < kDims; ++dim) {
+    std::vector<ColumnEntry> column;
+    for (PointId pid = 0; pid < kRows; ++pid) {
+      column.push_back(ColumnEntry{base.at(pid, dim), pid});
+    }
+    std::sort(column.begin(), column.end(),
+              [](const ColumnEntry& a, const ColumnEntry& b) {
+                if (a.value != b.value) return a.value < b.value;
+                return a.pid < b.pid;
+              });
+    BPlusTree reference(&reference_disk);
+    reference.BulkLoad(column);
+
+    const BPlusTree& tree = live.tree(dim);
+    ASSERT_EQ(tree.num_nodes(), reference.num_nodes()) << "dim " << dim;
+    EXPECT_EQ(tree.SerializeMeta(), reference.SerializeMeta())
+        << "dim " << dim;
+    for (uint32_t slot = 0; slot < tree.num_nodes(); ++slot) {
+      EXPECT_EQ(tree.SerializeNode(slot), reference.SerializeNode(slot))
+          << "dim " << dim << " slot " << slot;
+    }
+  }
+}
+
 TEST(LiveColumnIndexTest, PinnedSnapshotIsImmuneToLaterWrites) {
   const Dataset base = datagen::MakeUniform(200, 2, 22);
   DiskSimulator disk;
@@ -678,6 +722,35 @@ TEST(EngineIngestTest, IngestCostStaysFlatWithoutACheckpoint) {
   EXPECT_LE(last, 4 * first) << "first " << kWindow << " ops " << first
                              << " ms each, last " << last << " ms each";
   ASSERT_TRUE(StatusIs(engine.EndIngest(), StatusCode::kOk));
+}
+
+TEST(EngineIngestTest, LiveQueriesReleaseTheirStreams) {
+  // A live query holds 2d cursor streams and one locate stream, and a
+  // writer op one descent stream per tree; all are released when done,
+  // so stream ids stay below a bound no matter how many queries ran.
+  constexpr size_t kDims = 6;
+  SimilarityEngine engine(datagen::MakeUniform(800, kDims, 95));
+  ASSERT_TRUE(StatusIs(engine.BeginIngest(), StatusCode::kOk));
+  Rng rng(96);
+  std::vector<Value> coords(kDims);
+  const auto queries = TestQueries(kDims, 16, 97);
+  for (size_t i = 0; i < 1000; ++i) {
+    if (i % 10 == 0) {
+      for (Value& v : coords) v = rng.Uniform01();
+      ASSERT_TRUE(StatusIs(engine.IngestPoint(coords), StatusCode::kOk));
+      ASSERT_TRUE(StatusIs(engine.ErasePoint(static_cast<PointId>(i)),
+                           StatusCode::kOk));
+    }
+    const auto& q = queries[i % queries.size()];
+    if (i % 2 == 0) {
+      ASSERT_TRUE(StatusIs(engine.LiveKnMatch(q, 3, 5), StatusCode::kOk));
+    } else {
+      ASSERT_TRUE(StatusIs(engine.LiveFrequentKnMatch(q, 2, 4, 5),
+                           StatusCode::kOk));
+    }
+  }
+  const DiskStream probe = engine.live_index()->tree(0).OpenStream();
+  EXPECT_LT(probe.id(), 4 * kDims + 8);
 }
 
 TEST(EngineIngestTest, CacheInvalidationWaitsForCommitDurability) {

@@ -63,7 +63,9 @@ TEST(SortedColumnsTest, ColumnsAreSortedAndComplete) {
     ASSERT_EQ(vals.size(), ids.size());
     std::set<PointId> pids;
     for (size_t i = 0; i < vals.size(); ++i) {
-      if (i > 0) EXPECT_LE(vals[i - 1], vals[i]);
+      if (i > 0) {
+        EXPECT_LE(vals[i - 1], vals[i]);
+      }
       EXPECT_EQ(vals[i], db.at(ids[i], dim));
       EXPECT_EQ(columns.entry(dim, i), (ColumnEntry{vals[i], ids[i]}));
       pids.insert(ids[i]);

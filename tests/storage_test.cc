@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +68,95 @@ TEST(DiskSimulatorTest, StreamsAreIndependent) {
   EXPECT_EQ(disk.random_reads(), 2u);
   disk.RecordRead(a, 2);  // still sequential for a
   EXPECT_EQ(disk.sequential_reads(), 1u);
+}
+
+TEST(DiskSimulatorTest, ReusedStreamReadsLikeANewOne) {
+  // One simulator closes a stream and reopens its id; the other opens
+  // a never-used stream. The same reads must classify identically.
+  DiskSimulator reused;
+  DiskSimulator fresh;
+  reused.AllocatePages(10);
+  fresh.AllocatePages(10);
+  const size_t s = reused.OpenStream();
+  reused.RecordRead(s, 5);
+  reused.RecordRead(s, 6);
+  const size_t f = fresh.OpenStream();
+  fresh.RecordRead(f, 5);
+  fresh.RecordRead(f, 6);
+  reused.CloseStream(s);
+
+  const size_t again = reused.OpenStream();
+  EXPECT_EQ(again, s) << "a closed id is handed out again";
+  const size_t other = fresh.OpenStream();
+  // Page 6 sat in the old stream's buffer and page 7 is adjacent to
+  // it; on a reset stream both are seeks, as on a new one.
+  for (const uint64_t page : {6u, 7u}) {
+    reused.RecordRead(again, page);
+    fresh.RecordRead(other, page);
+  }
+  EXPECT_EQ(reused.random_reads(), fresh.random_reads());
+  EXPECT_EQ(reused.sequential_reads(), fresh.sequential_reads());
+  EXPECT_EQ(reused.random_reads(), 2u);
+  EXPECT_EQ(reused.sequential_reads(), 2u);
+}
+
+TEST(DiskSimulatorTest, StreamHandleReleasesItsIdOnce) {
+  DiskSimulator disk;
+  size_t first;
+  {
+    const DiskStream a(&disk);
+    first = a.id();
+    EXPECT_TRUE(a.is_open());
+  }
+  DiskStream b(&disk);
+  EXPECT_EQ(b.id(), first);
+  DiskStream c = std::move(b);
+  EXPECT_FALSE(b.is_open());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.id(), first);
+  // The moved-from handle released nothing: the id is still taken.
+  const DiskStream d(&disk);
+  EXPECT_NE(d.id(), first);
+  c = DiskStream();
+  EXPECT_EQ(DiskStream(&disk).id(), first);
+  EXPECT_FALSE(DiskStream().is_open());
+}
+
+TEST(DiskSimulatorTest, ConcurrentStreamsNeverShareAnId) {
+  // Readers on several threads open, read and release streams at once
+  // (as snapshot queries beside the ingest writer do): no id may be
+  // handed to two open handles, and recycling keeps the ids small.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kHeld = 3;
+  DiskSimulator disk;
+  disk.AllocatePages(64);
+  std::vector<std::atomic<int>> holders(kThreads * kHeld + 1);
+  std::atomic<bool> shared_id{false};
+  std::atomic<bool> id_out_of_bound{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 500; ++round) {
+        std::vector<DiskStream> held;
+        for (size_t i = 0; i < kHeld; ++i) {
+          held.emplace_back(&disk);
+          const size_t id = held.back().id();
+          if (id >= holders.size()) {
+            id_out_of_bound = true;
+            continue;
+          }
+          if (holders[id].fetch_add(1) != 0) shared_id = true;
+          disk.RecordRead(id, (t * 16 + round + i) % 64);
+        }
+        for (const DiskStream& stream : held) {
+          if (stream.id() < holders.size()) holders[stream.id()].fetch_sub(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(shared_id.load());
+  EXPECT_FALSE(id_out_of_bound.load());
+  EXPECT_EQ(disk.total_reads(), kThreads * 500 * kHeld);
 }
 
 TEST(DiskSimulatorTest, SimulatedTimeUsesConfig) {
@@ -189,7 +281,9 @@ TEST(RowStoreTest, ReadRowMatchesDataset) {
   EXPECT_EQ(rows.rows_per_page(),
             (4096u - kPageFrameOverhead) / (7 * sizeof(Value)));
 
-  const size_t s = rows.OpenStream();
+  const DiskStream s_handle = rows.OpenStream();
+
+  const size_t s = s_handle.id();
   std::vector<Value> buf;
   for (PointId pid : {PointId{0}, PointId{150}, PointId{299}}) {
     auto row = rows.ReadRow(s, pid, &buf);
@@ -205,7 +299,8 @@ TEST(RowStoreTest, ForEachRowVisitsAllInOrderSequentially) {
   Dataset db = datagen::MakeUniform(500, 4, 6);
   DiskSimulator disk;
   RowStore rows(db, &disk);
-  const size_t s = rows.OpenStream();
+  const DiskStream s_handle = rows.OpenStream();
+  const size_t s = s_handle.id();
   PointId expected = 0;
   Status io = rows.ForEachRow(s, [&](PointId pid, std::span<const Value> p) {
     ASSERT_EQ(pid, expected++);
@@ -228,7 +323,9 @@ TEST(ColumnStoreTest, EntriesMatchInMemorySortedColumns) {
   EXPECT_EQ(store.dims(), 5u);
   EXPECT_EQ(store.column_size(), 700u);
 
-  const size_t s = store.OpenStream();
+  const DiskStream s_handle = store.OpenStream();
+
+  const size_t s = s_handle.id();
   for (size_t dim = 0; dim < 5; ++dim) {
     for (size_t idx : {size_t{0}, size_t{341}, size_t{342}, size_t{699}}) {
       auto entry = store.ReadEntry(s, dim, idx);
@@ -308,7 +405,8 @@ TEST(ColumnStoreTest, SequentialEntryReadsShareAPage) {
   Dataset db = datagen::MakeUniform(1000, 2, 10);
   DiskSimulator disk;
   ColumnStore store(db, &disk);
-  const size_t s = store.OpenStream();
+  const DiskStream s_handle = store.OpenStream();
+  const size_t s = s_handle.id();
   // Entries 0..340 live in one page: one physical read.
   for (size_t idx = 0; idx < store.entries_per_page(); ++idx) {
     store.ReadEntry(s, 0, idx);

@@ -37,7 +37,8 @@ TEST(VaFileTest, ApproxScanReproducesQuantization) {
   Dataset db = datagen::MakeUniform(1000, 6, 21);
   DiskSimulator disk;
   VaFile va(db, &disk, 8);
-  const size_t s = va.OpenStream();
+  const DiskStream s_handle = va.OpenStream();
+  const size_t s = s_handle.id();
   PointId expected = 0;
   va.ForEachApprox(s, [&](PointId pid, std::span<const uint32_t> codes) {
     ASSERT_EQ(pid, expected++);
@@ -56,7 +57,8 @@ TEST(VaFileTest, OddBitWidthsPackCorrectly) {
   DiskSimulator disk;
   VaFile va(db, &disk, 5);  // 35 bits per row -> deliberately unaligned
   EXPECT_EQ(va.cells(), 32u);
-  const size_t s = va.OpenStream();
+  const DiskStream s_handle = va.OpenStream();
+  const size_t s = s_handle.id();
   va.ForEachApprox(s, [&](PointId pid, std::span<const uint32_t> codes) {
     for (size_t dim = 0; dim < db.dims(); ++dim) {
       ASSERT_EQ(codes[dim], va.Quantize(dim, db.at(pid, dim)))
@@ -143,7 +145,8 @@ TEST(VaFileTest, PageImagesMatchBitwiseCodecForEveryWidth) {
           << "bits=" << bits << " page=" << p;
     }
     // And the byte-wise reader decodes what was written.
-    const size_t s = va.OpenStream();
+    const DiskStream s_handle = va.OpenStream();
+    const size_t s = s_handle.id();
     ASSERT_TRUE(va.ForEachApprox(s, [&](PointId pid,
                                         std::span<const uint32_t> codes) {
                     for (size_t dim = 0; dim < db.dims(); ++dim) {
