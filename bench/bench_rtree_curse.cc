@@ -38,20 +38,25 @@ int main() {
     double rtree_io = 0, va_io = 0, idist_io = 0, scan_io = 0;
     double visited = 0, refined = 0, examined = 0;
     for (const auto& q : queries) {
+      // Each search's work count is recovered from its answer's
+      // attributes_retrieved (see the searchers' Knn comments).
+      KnMatchResult r;
       rtree_io += eval::MeasureQuery(&disk, [&] {
-                    rtree.Knn(q, 10).value();
+                    r = rtree.Knn(q, 10).value();
                   }).io_seconds;
-      visited += static_cast<double>(rtree.last_nodes_visited()) /
+      visited += static_cast<double>(r.attributes_retrieved /
+                                     (rtree.node_capacity() * d)) /
                  static_cast<double>(rtree.num_nodes());
       va_io += eval::MeasureQuery(&disk, [&] {
-                 va_knn.Knn(q, 10).value();
+                 r = va_knn.Knn(q, 10).value();
                }).io_seconds;
-      refined += static_cast<double>(va_knn.last_points_refined()) /
+      refined += static_cast<double>(r.attributes_retrieved / d -
+                                     db.size()) /
                  static_cast<double>(db.size());
       idist_io += eval::MeasureQuery(&disk, [&] {
-                    idist.Knn(q, 10).value();
+                    r = idist.Knn(q, 10).value();
                   }).io_seconds;
-      examined += static_cast<double>(idist.last_points_examined()) /
+      examined += static_cast<double>(r.attributes_retrieved / d) /
                   static_cast<double>(db.size());
       scan_io += eval::MeasureQuery(&disk, [&] {
                    scan.KnnEuclidean(q, 10).value();

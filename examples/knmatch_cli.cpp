@@ -654,15 +654,16 @@ class Cli {
         QueryContext ctx;
         QueryContext* pctx = ArmContext(&ctx);
         FrequentKnMatchResult result;
+        shard::DispatchReport d;
         if (what == "query") {
-          auto r = router_->KnMatch(q, n0, k, {}, pctx);
+          auto r = router_->KnMatch(q, n0, k, {}, pctx, &d);
           if (!r.ok()) {
             PrintStatus(r.status(), pctx);
             return true;
           }
           result.per_n_sets.push_back(std::move(r.value().matches));
         } else {
-          auto r = router_->FrequentKnMatch(q, n0, n1, k, {}, pctx);
+          auto r = router_->FrequentKnMatch(q, n0, n1, k, {}, pctx, &d);
           if (!r.ok()) {
             PrintStatus(r.status(), pctx);
             return true;
@@ -683,7 +684,6 @@ class Cli {
           }
           std::printf("\n");
         }
-        const shard::DispatchReport& d = router_->last_dispatch();
         std::printf("  %zu shard(s) dispatched", d.shards_dispatched);
         if (d.cache_hit) std::printf(", served from cache");
         if (d.hedges > 0) {
@@ -983,8 +983,10 @@ class Cli {
       if (!QueryOf(pid, &q)) return true;
       QueryContext ctx;
       QueryContext* pctx = ArmContext(&ctx);
-      auto r = engine_->DiskFrequentKnMatch(q, n0, n1, k, method, pctx);
-      for (const auto& step : engine_->last_disk_fallback()) {
+      SimilarityEngine::DiskReport report;
+      auto r =
+          engine_->DiskFrequentKnMatch(q, n0, n1, k, method, pctx, &report);
+      for (const auto& step : report.fallback) {
         std::printf("  degraded: %s failed (%s)\n", MethodName(step.method),
                     step.status.ToString().c_str());
       }
@@ -992,14 +994,11 @@ class Cli {
         PrintStatus(r.status(), pctx);
         return true;
       }
-      const char* ran = MethodName(engine_->last_disk_method());
       PrintMatches(r.value().matches);
       std::printf("  method: %s | io %.3fs (%llu seq + %llu rnd pages)\n",
-                  ran, engine_->last_disk_cost().io_seconds,
-                  static_cast<unsigned long long>(
-                      engine_->last_disk_cost().sequential_pages),
-                  static_cast<unsigned long long>(
-                      engine_->last_disk_cost().random_pages));
+                  MethodName(report.method), report.cost.io_seconds,
+                  static_cast<unsigned long long>(report.cost.sequential_pages),
+                  static_cast<unsigned long long>(report.cost.random_pages));
       MaybePrintTrace();
       return true;
     }

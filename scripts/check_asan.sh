@@ -20,6 +20,6 @@ cmake --build "$BUILD_DIR" --target knmatch_tests -j"$(nproc)"
 # covers every suite that exercises the fault-injection read paths.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   "$BUILD_DIR"/tests/knmatch_tests \
-  --gtest_filter='PageCodec*:SortedColumns*:VaFile*:FaultInjector*:DiskSimulator*:PagedFile*:AdKernel*:BPlusTree*:BTreeColumns*:Engine*:Batch*:FaultSoak*:Storage*:Obs*:Governance*:Cache*:Wal*:FreeSpace*:LiveColumnIndex*:CrashMatrix*:Ingest*:Shard*:Packed*:Serve*'
+  --gtest_filter='ThreadPool*:PageCodec*:SortedColumns*:VaFile*:FaultInjector*:DiskSimulator*:PagedFile*:AdKernel*:BPlusTree*:BTreeColumns*:Engine*:Batch*:FaultSoak*:Storage*:Obs*:Governance*:Cache*:Wal*:FreeSpace*:LiveColumnIndex*:CrashMatrix*:Ingest*:Shard*:Packed*:Serve*'
 
 echo "ASan: fault-tolerance tests passed with zero reports"

@@ -84,7 +84,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
       parts, {Value{1}, Value{0}});
 
   BoundedTopK<PointId, Value, PointId> top(k);
-  last_points_examined_ = 0;
+  uint64_t points_examined = 0;
   const DiskStream stream = tree_.OpenStream();
 
   auto scan_keys = [&](Value lo, Value hi) {
@@ -92,7 +92,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
     auto it = tree_.SeekLowerBound(stream.id(), lo);
     while (it.Valid() && it.Get().value <= hi) {
       const PointId pid = it.Get().pid;
-      ++last_points_examined_;
+      ++points_examined;
       top.Offer(MetricDistance(db_.point(pid), query, Metric::kEuclidean),
                 pid, pid);
       it.Next();
@@ -116,7 +116,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
         if (lo < prev_lo) {
           auto it = tree_.SeekLowerBound(stream.id(), lo);
           while (it.Valid() && it.Get().value < prev_lo) {
-            ++last_points_examined_;
+            ++points_examined;
             top.Offer(MetricDistance(db_.point(it.Get().pid), query,
                                      Metric::kEuclidean),
                       it.Get().pid, it.Get().pid);
@@ -127,7 +127,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
           auto it = tree_.SeekLowerBound(stream.id(), prev_hi);
           while (it.Valid() && it.Get().value <= prev_hi) it.Next();
           while (it.Valid() && it.Get().value <= hi) {
-            ++last_points_examined_;
+            ++points_examined;
             top.Offer(MetricDistance(db_.point(it.Get().pid), query,
                                      Metric::kEuclidean),
                       it.Get().pid, it.Get().pid);
@@ -153,7 +153,7 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
   for (auto& e : top.TakeSorted()) {
     result.matches.push_back(Neighbor{e.item, e.score});
   }
-  result.attributes_retrieved = last_points_examined_ * db_.dims();
+  result.attributes_retrieved = points_examined * db_.dims();
   return result;
 }
 

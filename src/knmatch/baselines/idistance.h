@@ -43,13 +43,12 @@ class IDistanceIndex {
   IDistanceIndex(const Dataset& db, DiskSimulator* disk)
       : IDistanceIndex(db, disk, Options{}) {}
 
-  /// Exact k nearest neighbors under the Euclidean metric.
+  /// Exact k nearest neighbors under the Euclidean metric. The answer's
+  /// attributes_retrieved is (candidates examined) x d.
   Result<KnMatchResult> Knn(std::span<const Value> query, size_t k) const;
 
   /// Partitions actually used (empty ones are dropped).
   size_t num_partitions() const { return centers_.rows(); }
-  /// Candidate points whose exact distance the last Knn() computed.
-  uint64_t last_points_examined() const { return last_points_examined_; }
 
  private:
   Value KeyOf(uint32_t partition, double dist) const;
@@ -60,7 +59,6 @@ class IDistanceIndex {
   std::vector<double> partition_radius_;  // max dist to center, per part.
   double c_stride_;                       // the constant C
   BPlusTree tree_;
-  mutable uint64_t last_points_examined_ = 0;
 };
 
 }  // namespace knmatch

@@ -287,7 +287,7 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
 
   const DiskStream stream =
       disk_ != nullptr ? DiskStream(disk_) : DiskStream();
-  last_nodes_visited_ = 0;
+  size_t nodes_visited = 0;
 
   struct QueueItem {
     double mindist;
@@ -314,7 +314,7 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
       continue;
     }
     ChargeVisit(stream.id(), item.node);
-    ++last_nodes_visited_;
+    ++nodes_visited;
     const Node& n = nodes_[item.node];
     for (const Entry& e : n.entries) {
       if (n.leaf) {
@@ -328,7 +328,7 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
       }
     }
   }
-  result.attributes_retrieved = last_nodes_visited_ * capacity_ * dims_;
+  result.attributes_retrieved = nodes_visited * capacity_ * dims_;
   return result;
 }
 

@@ -39,7 +39,8 @@ class RTree {
 
   /// Exact k nearest neighbors by best-first (priority queue on MBR
   /// minimum distance), under the Euclidean metric. Charges one page
-  /// read per visited node when a simulator is attached.
+  /// read per visited node when a simulator is attached. The answer's
+  /// attributes_retrieved is (nodes visited) x capacity x d.
   Result<KnMatchResult> Knn(std::span<const Value> query, size_t k) const;
 
   /// All points inside the axis-aligned box [lo, hi] (inclusive).
@@ -52,8 +53,6 @@ class RTree {
   size_t height() const { return height_; }
   /// Number of nodes (== pages).
   size_t num_nodes() const { return nodes_.size(); }
-  /// Nodes visited by the most recent Knn() call.
-  size_t last_nodes_visited() const { return last_nodes_visited_; }
   /// Max entries per node (derived from the page size).
   size_t node_capacity() const { return capacity_; }
 
@@ -107,7 +106,6 @@ class RTree {
   uint32_t root_ = kInvalid;
   size_t size_ = 0;
   size_t height_ = 0;
-  mutable size_t last_nodes_visited_ = 0;
 };
 
 }  // namespace knmatch

@@ -204,7 +204,7 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
 
   const DiskStream stream =
       disk_ != nullptr ? DiskStream(disk_) : DiskStream();
-  last_nodes_visited_ = 0;
+  size_t nodes_visited = 0;
 
   struct QueueItem {
     double mindist;
@@ -230,7 +230,7 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
       continue;
     }
     ChargeVisit(stream.id(), item.node);
-    ++last_nodes_visited_;
+    ++nodes_visited;
     const Node& n = nodes_[item.node];
     for (const Entry& e : n.entries) {
       const double center_dist = Distance(e.sphere.center, query);
@@ -242,7 +242,7 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
       }
     }
   }
-  result.attributes_retrieved = last_nodes_visited_ * capacity_ * dims_;
+  result.attributes_retrieved = nodes_visited * capacity_ * dims_;
   return result;
 }
 

@@ -35,7 +35,8 @@ class SsTree {
   void Insert(PointId pid, std::span<const Value> point);
 
   /// Exact k nearest neighbors (best-first on sphere mindist,
-  /// Euclidean metric). Charges one page per visited node.
+  /// Euclidean metric). Charges one page per visited node. The answer's
+  /// attributes_retrieved is (nodes visited) x capacity x d.
   Result<KnMatchResult> Knn(std::span<const Value> query, size_t k) const;
 
   /// Number of points stored.
@@ -44,8 +45,6 @@ class SsTree {
   size_t height() const { return height_; }
   /// Number of nodes.
   size_t num_nodes() const { return nodes_.size(); }
-  /// Nodes visited by the most recent Knn() call.
-  size_t last_nodes_visited() const { return last_nodes_visited_; }
   /// Max entries per node.
   size_t node_capacity() const { return capacity_; }
 
@@ -91,7 +90,6 @@ class SsTree {
   uint32_t root_ = kInvalid;
   size_t size_ = 0;
   size_t height_ = 0;
-  mutable size_t last_nodes_visited_ = 0;
 };
 
 }  // namespace knmatch

@@ -446,9 +446,11 @@ Result<FrequentKnMatchResult> SimilarityEngine::RunDiskMethod(
 
 Result<FrequentKnMatchResult> SimilarityEngine::DiskFrequentKnMatch(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    DiskMethod method, QueryContext* ctx) const {
+    DiskMethod method, QueryContext* ctx, DiskReport* report) const {
+  DiskReport local;
+  DiskReport& rep = report != nullptr ? *report : local;
+  rep = DiskReport{};
   EnsureDiskStores();
-  last_disk_fallback_.clear();
 
   const bool auto_routed = method == DiskMethod::kAuto;
   if (auto_routed) {
@@ -481,7 +483,7 @@ Result<FrequentKnMatchResult> SimilarityEngine::DiskFrequentKnMatch(
 
   Result<FrequentKnMatchResult> result =
       Status::Internal("no disk method ran");
-  last_disk_cost_ = eval::MeasureQuery(disk_.get(), [&] {
+  rep.cost = eval::MeasureQuery(disk_.get(), [&] {
     for (const DiskMethod attempt : plan) {
       exec::CircuitBreaker* brk = auto_routed ? breaker(attempt) : nullptr;
       if (brk != nullptr) {
@@ -498,7 +500,7 @@ Result<FrequentKnMatchResult> SimilarityEngine::DiskFrequentKnMatch(
         }
       }
       result = RunDiskMethod(attempt, query, n0, n1, k, ctx);
-      last_disk_method_ = attempt;
+      rep.method = attempt;
       if (brk != nullptr) {
         // A governance trip counts as a breaker failure: the method
         // consumed a whole deadline/budget without answering, which is
@@ -526,23 +528,21 @@ Result<FrequentKnMatchResult> SimilarityEngine::DiskFrequentKnMatch(
       // Only auto-routed queries degrade, so only they record fallback
       // steps; an explicit method's failure is the final answer.
       if (auto_routed) {
-        last_disk_fallback_.push_back(
-            DiskFallbackStep{attempt, result.status()});
+        rep.fallback.push_back(DiskFallbackStep{attempt, result.status()});
         if (obs::Counter* c = FallbackCounter(attempt)) c->Add();
       }
     }
   });
 
   obs::Cat().queries_disk->Add();
-  obs::Cat().latency_disk->ObserveSeconds(last_disk_cost_.cpu_seconds +
-                                          last_disk_cost_.io_seconds);
+  obs::Cat().latency_disk->ObserveSeconds(rep.cost.cpu_seconds +
+                                          rep.cost.io_seconds);
   if (result.ok()) {
-    if (obs::Counter* c = MethodCounter(last_disk_method_)) c->Add();
+    if (obs::Counter* c = MethodCounter(rep.method)) c->Add();
   }
   if (obs::QueryTrace* trace = obs::CurrentTrace()) {
-    trace->AddPhaseSeconds(obs::Phase::kDiskIo,
-                           last_disk_cost_.io_seconds);
-    trace->counters().fallbacks += last_disk_fallback_.size();
+    trace->AddPhaseSeconds(obs::Phase::kDiskIo, rep.cost.io_seconds);
+    trace->counters().fallbacks += rep.fallback.size();
   }
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return result;

@@ -58,12 +58,11 @@ class SelectivityEstimator;
 /// ```
 ///
 /// Thread-safety (see docs/parallelism.md for the full contract): the
-/// lazy builders are guarded by std::call_once, so the in-memory query
-/// methods — KnMatch, FrequentKnMatch, Knn, and the *Batch entry
-/// points — are safe to call concurrently from many threads. The Disk*
-/// methods and EstimateSelectivity record per-call state (last cost,
-/// simulator counters) and require external serialization, as does
-/// InsertPoint (it mutates the dataset and invalidates every index).
+/// lazy builders are guarded by std::call_once and the engine keeps no
+/// per-query state, so every const query method — in-memory, Disk*,
+/// EstimateSelectivity and the *Batch entry points — is safe to call
+/// concurrently (a DiskReport's cost caveat aside). InsertPoint and the
+/// setup methods (cache, fault injector) need external serialization.
 class SimilarityEngine {
  public:
   /// Disk execution strategies for DiskFrequentKnMatch.
@@ -73,6 +72,26 @@ class SimilarityEngine {
     kAd,
     kVaFile,
     kMemoryAd,  // in-memory AD: the last-resort fallback, no disk I/O
+  };
+
+  /// One abandoned attempt in a disk query's degradation chain.
+  struct DiskFallbackStep {
+    DiskMethod method;
+    Status status;  // why the method was abandoned
+  };
+
+  /// What one DiskFrequentKnMatch call did; filled through the call's
+  /// optional `report` argument.
+  struct DiskReport {
+    /// The method that ran last — with kAuto, the one that produced
+    /// the answer after any fallbacks.
+    DiskMethod method = DiskMethod::kScan;
+    /// The methods tried and abandoned, in order; empty when the first
+    /// choice succeeded.
+    std::vector<DiskFallbackStep> fallback;
+    /// CPU time and simulated I/O of the call. The page counts are
+    /// exact only when no other disk query on this engine overlaps it.
+    eval::QueryCost cost;
   };
 
   /// Takes ownership of the dataset. `config` parameterizes the
@@ -250,8 +269,9 @@ class SimilarityEngine {
   LiveColumnIndex* live_index() const { return live_.get(); }
 
   /// Frequent k-n-match against the simulated disk, with the execution
-  /// method chosen explicitly or by the cost advisor. The I/O cost of
-  /// the run is available from last_disk_cost() afterwards.
+  /// method chosen explicitly or by the cost advisor. When `report` is
+  /// non-null it receives the method that answered, the fallback chain
+  /// and the I/O cost of this call (see DiskReport).
   ///
   /// Degradation: when routed with kAuto and the chosen method fails
   /// with kDataLoss or kUnavailable, the engine falls back through the
@@ -266,8 +286,8 @@ class SimilarityEngine {
   /// runs. A governance trip NEVER degrades — retrying a query that
   /// already ran out of deadline or budget on a (possibly more
   /// expensive) fallback would amplify exactly the load the trip was
-  /// shedding — so tripped queries return immediately with
-  /// last_disk_fallback() empty.
+  /// shedding — so tripped queries return immediately with an empty
+  /// fallback chain.
   ///
   /// Overload protection: each disk-touching method (scan, AD,
   /// VA-file) sits behind a CircuitBreaker fed by auto-routed
@@ -275,37 +295,19 @@ class SimilarityEngine {
   /// probes recover them); explicit methods bypass the breakers.
   Result<FrequentKnMatchResult> DiskFrequentKnMatch(
       std::span<const Value> query, size_t n0, size_t n1, size_t k,
-      DiskMethod method = DiskMethod::kAuto,
-      QueryContext* ctx = nullptr) const;
+      DiskMethod method = DiskMethod::kAuto, QueryContext* ctx = nullptr,
+      DiskReport* report = nullptr) const;
 
   /// The circuit breaker guarding one disk method (nullptr for methods
   /// that have none: kAuto routes, kMemoryAd cannot fail). Exposed for
-  /// tests and diagnostics; same serialization rules as the other
-  /// Disk* state.
+  /// tests and diagnostics; the breaker locks itself, so reading it
+  /// races no query.
   const exec::CircuitBreaker* circuit_breaker(DiskMethod method) const;
-
-  /// The method DiskFrequentKnMatch actually executed last — with
-  /// kAuto, the one that produced the answer after any fallbacks.
-  DiskMethod last_disk_method() const { return last_disk_method_; }
-
-  /// One abandoned attempt in the last query's degradation chain.
-  struct DiskFallbackStep {
-    DiskMethod method;
-    Status status;  // why the method was abandoned
-  };
-  /// The methods the last DiskFrequentKnMatch tried and abandoned, in
-  /// order; empty when the first choice succeeded.
-  const std::vector<DiskFallbackStep>& last_disk_fallback() const {
-    return last_disk_fallback_;
-  }
-
-  /// Cost of the most recent DiskFrequentKnMatch call.
-  const eval::QueryCost& last_disk_cost() const { return last_disk_cost_; }
 
   /// Attaches a fault injector to the simulated disk (pass nullptr to
   /// detach). The injector must outlive the engine; it survives
-  /// InsertPoint rebuilds. Requires external serialization like the
-  /// other Disk* state.
+  /// InsertPoint rebuilds. Requires external serialization, like
+  /// InsertPoint.
   void SetFaultInjector(FaultInjector* injector);
 
   /// Clears injected fault schedules and lifts every page quarantine —
@@ -370,11 +372,7 @@ class SimilarityEngine {
   mutable std::unique_ptr<VaFile> va_;
   mutable std::unique_ptr<eval::QueryAdvisor> advisor_;
   mutable std::unique_ptr<eval::SelectivityEstimator> estimator_;
-  mutable DiskMethod last_disk_method_ = DiskMethod::kScan;
-  mutable eval::QueryCost last_disk_cost_;
-  mutable std::vector<DiskFallbackStep> last_disk_fallback_;
-  // Per-disk-method breakers for kAuto routing; serialized with the
-  // rest of the Disk* state.
+  // Per-disk-method breakers for kAuto routing; each locks itself.
   mutable exec::CircuitBreaker breaker_scan_;
   mutable exec::CircuitBreaker breaker_ad_;
   mutable exec::CircuitBreaker breaker_va_;

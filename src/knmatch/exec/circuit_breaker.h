@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 
 namespace knmatch::exec {
 
@@ -19,8 +20,8 @@ namespace knmatch::exec {
 /// exactly one probe. Half-open: the probe's success closes the
 /// breaker (window cleared), its failure re-opens it.
 ///
-/// Single-threaded by design: the engine's Disk* entry points require
-/// external serialization, and the breaker lives behind them.
+/// Thread-safety: every method takes the breaker's own mutex, so
+/// concurrent queries and /health readers may share one breaker.
 class CircuitBreaker {
  public:
   struct Options {
@@ -43,6 +44,7 @@ class CircuitBreaker {
   /// open count toward the cooldown; the call that exhausts it flips
   /// to half-open and admits the probe.
   bool Allow() {
+    std::scoped_lock lock(mu_);
     switch (state_) {
       case State::kClosed:
         return true;
@@ -60,6 +62,7 @@ class CircuitBreaker {
 
   /// Reports the outcome of an admitted request.
   void RecordSuccess() {
+    std::scoped_lock lock(mu_);
     if (state_ == State::kHalfOpen) {
       Reset();
       return;
@@ -67,6 +70,7 @@ class CircuitBreaker {
     Push(false);
   }
   void RecordFailure() {
+    std::scoped_lock lock(mu_);
     if (state_ == State::kHalfOpen) {
       Open();
       return;
@@ -79,9 +83,13 @@ class CircuitBreaker {
     }
   }
 
-  State state() const { return state_; }
+  State state() const {
+    std::scoped_lock lock(mu_);
+    return state_;
+  }
 
  private:
+  // The helpers below run with mu_ held.
   void Open() {
     state_ = State::kOpen;
     refusals_ = 0;
@@ -121,6 +129,7 @@ class CircuitBreaker {
     head_ = (head_ + 1) % cap;
   }
 
+  mutable std::mutex mu_;  // guards every member below
   Options options_;
   State state_ = State::kClosed;
   size_t refusals_ = 0;

@@ -27,6 +27,7 @@ void ThreadPool::ParallelFor(
     for (size_t i = 0; i < count; ++i) body(0, i);
     return;
   }
+  std::scoped_lock job(job_mu_);
   std::unique_lock lock(mu_);
   body_ = &body;
   chunk_body_ = nullptr;
@@ -50,6 +51,7 @@ void ThreadPool::ParallelForChunked(
     }
     return;
   }
+  std::scoped_lock job(job_mu_);
   std::unique_lock lock(mu_);
   chunk_body_ = &body;
   body_ = nullptr;

@@ -23,9 +23,9 @@ namespace knmatch::exec {
 /// index passed to the body is stable for the lifetime of the pool, so
 /// callers can key per-thread state (e.g. an AdScratch arena) on it.
 ///
-/// Thread-safety: ParallelFor must not be called concurrently with
-/// itself (the engine serializes batch calls); the pool may be
-/// constructed/destructed on any thread.
+/// Thread-safety: ParallelFor/ParallelForChunked may be called from
+/// several threads; a job lock held for the whole call runs their jobs
+/// one at a time. The pool may be constructed/destructed on any thread.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers. 0 is allowed: ParallelFor then runs
@@ -62,6 +62,8 @@ class ThreadPool {
  private:
   void WorkerLoop(size_t worker);
 
+  /// Held by a caller from publishing its job until the job drains.
+  std::mutex job_mu_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

@@ -97,7 +97,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
 
   Matrix points(rows, cols);
   for (Value& v : points.data()) {
-    double raw;
+    double raw = 0;
     Take(body, &offset, &raw);
     v = raw;
   }
@@ -106,7 +106,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
   }
   std::vector<Label> labels(rows);
   for (Label& label : labels) {
-    int32_t raw;
+    int32_t raw = 0;
     Take(body, &offset, &raw);
     label = raw;
   }

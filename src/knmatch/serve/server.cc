@@ -842,61 +842,38 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
   ctx.set_cancel(cancel_);
 
   // Run the query; with a router attached, /query scatter-gathers and
-  // the dispatch report (degradation record) rides the same lock.
+  // the call fills this worker's own dispatch report.
   Status status = Status::OK();
   FrequentKnMatchResult result;
-  bool frequent = false;
-  shard::ShardDegradation degradation;
-  if (type == "knn") {
-    Result<KnMatchResult> r = engine_->Knn(query, k, Metric::kEuclidean,
-                                           &ctx);
-    if (r.ok()) {
-      result.matches = std::move(r.value().matches);
-      result.attributes_retrieved = r.value().attributes_retrieved;
-    } else {
+  shard::DispatchReport dispatch;
+  // Every path lands its answer in `result` or its error in `status`.
+  auto take = [&](Result<FrequentKnMatchResult> r) {
+    if (!r.ok()) {
       status = r.status();
+      return;
     }
-  } else if (type == "fknmatch") {
-    frequent = true;
-    if (router_ != nullptr) {
-      std::lock_guard<std::mutex> lock(router_mu_);
-      Result<FrequentKnMatchResult> r =
-          router_->FrequentKnMatch(query, n0, n1, k, weights, &ctx);
-      degradation = router_->last_dispatch().degradation;
-      if (r.ok()) {
-        result = std::move(r.value());
-      } else {
-        status = r.status();
-      }
-    } else {
-      Result<FrequentKnMatchResult> r =
-          engine_->FrequentKnMatch(query, n0, n1, k, weights, &ctx);
-      if (r.ok()) {
-        result = std::move(r.value());
-      } else {
-        status = r.status();
-      }
+    result = std::move(r.value());
+  };
+  auto take_flat = [&](Result<KnMatchResult> r) {
+    if (!r.ok()) {
+      status = r.status();
+      return;
     }
+    result.matches = std::move(r.value().matches);
+    result.attributes_retrieved = r.value().attributes_retrieved;
+  };
+  const bool frequent = type == "fknmatch";
+  if (type == "knn") {
+    take_flat(engine_->Knn(query, k, Metric::kEuclidean, &ctx));
+  } else if (frequent) {
+    take(router_ != nullptr ? router_->FrequentKnMatch(query, n0, n1, k,
+                                                       weights, &ctx, &dispatch)
+                            : engine_->FrequentKnMatch(query, n0, n1, k,
+                                                       weights, &ctx));
   } else if (type == "knmatch") {
-    if (router_ != nullptr) {
-      std::lock_guard<std::mutex> lock(router_mu_);
-      Result<KnMatchResult> r = router_->KnMatch(query, n, k, weights, &ctx);
-      degradation = router_->last_dispatch().degradation;
-      if (r.ok()) {
-        result.matches = std::move(r.value().matches);
-        result.attributes_retrieved = r.value().attributes_retrieved;
-      } else {
-        status = r.status();
-      }
-    } else {
-      Result<KnMatchResult> r = engine_->KnMatch(query, n, k, weights, &ctx);
-      if (r.ok()) {
-        result.matches = std::move(r.value().matches);
-        result.attributes_retrieved = r.value().attributes_retrieved;
-      } else {
-        status = r.status();
-      }
-    }
+    take_flat(router_ != nullptr
+                  ? router_->KnMatch(query, n, k, weights, &ctx, &dispatch)
+                  : engine_->KnMatch(query, n, k, weights, &ctx));
   } else {
     *http_status = 400;
     return ErrorBody("bad_query",
@@ -941,15 +918,15 @@ std::string HttpServer::HandleQuery(const Job& job, int* http_status) {
   w.Key("attributes_retrieved").Uint(result.attributes_retrieved);
   // Degraded shard coverage is explicit on the wire: clients must be
   // able to tell a complete answer from a survivors-only one.
-  w.Key("partial").Bool(degradation.partial());
-  if (degradation.partial()) {
+  w.Key("partial").Bool(dispatch.degradation.partial());
+  if (dispatch.degradation.partial()) {
     stat_partial_.fetch_add(1, std::memory_order_relaxed);
     obs::Cat().serve_partial_answers->Add();
     w.Key("degradation").BeginObject();
-    w.Key("shards_answered").Uint(degradation.shards_answered);
-    w.Key("shards_total").Uint(degradation.shards_total);
+    w.Key("shards_answered").Uint(dispatch.degradation.shards_answered);
+    w.Key("shards_total").Uint(dispatch.degradation.shards_total);
     w.Key("failed").BeginArray();
-    for (const shard::ShardFailure& f : degradation.failed) {
+    for (const shard::ShardFailure& f : dispatch.degradation.failed) {
       w.BeginObject();
       w.Key("shard").Uint(f.shard);
       w.Key("reason").String(StatusSlug(f.status.code()));
@@ -1118,8 +1095,8 @@ std::string HttpServer::RenderHealth() const {
   w.Key("draining").Bool(draining_.load(std::memory_order_acquire));
   w.Key("inflight").Uint(admission_.inflight());
   w.Key("open_connections").Uint(conns_.size());
-  // The engine's per-disk-method breakers: the server itself only runs
-  // the in-memory paths, so reading them here cannot race a mutation.
+  // The engine's per-disk-method breakers; each read takes the
+  // breaker's own lock.
   w.Key("breakers").BeginObject();
   const struct {
     const char* name;
@@ -1136,8 +1113,7 @@ std::string HttpServer::RenderHealth() const {
   }
   w.EndObject();
   if (router_ != nullptr) {
-    // Shard breakers mutate under query dispatch; ride the same lock.
-    std::lock_guard<std::mutex> lock(router_mu_);
+    // Shard breakers mutate under query dispatch and lock themselves.
     w.Key("shards").BeginArray();
     for (size_t i = 0; i < router_->num_shards(); ++i) {
       w.BeginObject();

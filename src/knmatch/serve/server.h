@@ -222,10 +222,6 @@ class HttpServer {
   std::deque<Completion> completions_;
 
   exec::AdmissionController admission_;
-  /// Serializes router queries with their last_dispatch() read (the
-  /// router serializes queries internally, but the report read must
-  /// stay atomic with the query that produced it).
-  mutable std::mutex router_mu_;
 
   // Lifetime counters (relaxed; mirrored by the obs serve family).
   std::atomic<uint64_t> stat_accepted_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,8 +61,8 @@ struct ShardRouter::Shard {
   /// order, which the canonical merge relies on.
   std::vector<PointId> to_global;
   std::vector<Replica> replicas;
-  /// Touched only by the one fan-out worker dispatching this shard;
-  /// queries serialize on query_mu_, so accesses are race-free.
+  /// Fed by every dispatch to this shard; locks itself, so concurrent
+  /// queries and /health readers share it safely.
   mutable exec::CircuitBreaker breaker;
   mutable exec::EwmaLatency ewma;
   /// Round-robin primary-replica cursor.
@@ -163,8 +164,10 @@ void ShardRouter::PublishShardGauges(const ShardSet& set) const {
 Result<KnMatchResult> ShardRouter::KnMatch(std::span<const Value> query,
                                            size_t n, size_t k,
                                            std::span<const Value> weights,
-                                           QueryContext* ctx) const {
-  auto merged = RunQuery(query, n, n, k, weights, ctx, /*frequent=*/false);
+                                           QueryContext* ctx,
+                                           DispatchReport* report) const {
+  auto merged =
+      RunQuery(query, n, n, k, weights, ctx, /*frequent=*/false, report);
   if (!merged.ok()) return merged.status();
   KnMatchResult out;
   out.matches = std::move(merged.value().per_n_sets[0]);
@@ -174,13 +177,18 @@ Result<KnMatchResult> ShardRouter::KnMatch(std::span<const Value> query,
 
 Result<FrequentKnMatchResult> ShardRouter::FrequentKnMatch(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    std::span<const Value> weights, QueryContext* ctx) const {
-  return RunQuery(query, n0, n1, k, weights, ctx, /*frequent=*/true);
+    std::span<const Value> weights, QueryContext* ctx,
+    DispatchReport* report) const {
+  return RunQuery(query, n0, n1, k, weights, ctx, /*frequent=*/true, report);
 }
 
 Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    std::span<const Value> weights, QueryContext* ctx, bool frequent) const {
+    std::span<const Value> weights, QueryContext* ctx, bool frequent,
+    DispatchReport* report) const {
+  DispatchReport local;
+  DispatchReport& rep = report != nullptr ? *report : local;
+  rep = DispatchReport{};
   Status valid =
       ValidateMatchParams(db_.size(), db_.dims(), query.size(), n0, n1, k);
   if (!valid.ok()) return valid;
@@ -200,33 +208,26 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     if (ctx->governed() && !ctx->Recheck(0, 0)) return ctx->trip_status();
   }
 
-  std::scoped_lock query_lock(query_mu_);
-  last_ = DispatchReport{};
   queries_.fetch_add(1, std::memory_order_relaxed);
   obs::Cat().shard_queries->Add();
 
   // Router-level cache: full-coverage answers only, keyed under the
   // router's own result epoch.
   if (cache_ != nullptr) {
+    std::optional<FrequentKnMatchResult> hit;
     if (frequent) {
-      if (auto hit = cache_->LookupFrequent(cache_epoch_, query, n0, n1, k,
-                                            weights)) {
-        last_.cache_hit = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::Cat().shard_cache_hits->Add();
-        return std::move(*hit);
-      }
-    } else {
-      if (auto hit = cache_->LookupKnMatch(cache_epoch_, query, n0, k,
-                                           weights)) {
-        last_.cache_hit = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::Cat().shard_cache_hits->Add();
-        FrequentKnMatchResult wrapped;
-        wrapped.per_n_sets.push_back(std::move(hit->matches));
-        wrapped.attributes_retrieved = hit->attributes_retrieved;
-        return wrapped;
-      }
+      hit = cache_->LookupFrequent(cache_epoch_, query, n0, n1, k, weights);
+    } else if (auto flat = cache_->LookupKnMatch(cache_epoch_, query, n0, k,
+                                                 weights)) {
+      hit.emplace();
+      hit->per_n_sets.push_back(std::move(flat->matches));
+      hit->attributes_retrieved = flat->attributes_retrieved;
+    }
+    if (hit) {
+      rep.cache_hit = true;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      obs::Cat().shard_cache_hits->Add();
+      return std::move(*hit);
     }
   }
 
@@ -277,58 +278,56 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
   const int64_t fanout_ns = ElapsedNs(fanout_start);
 
   // Aggregate single-threaded: counters, metrics, degradation record.
-  DispatchReport report;
   std::vector<const FrequentKnMatchResult*> partials;
   partials.reserve(S);
   for (size_t s = 0; s < S; ++s) {
     ShardOutcome& o = outcomes[s];
     if (o.empty) continue;
-    ++report.degradation.shards_total;
+    ++rep.degradation.shards_total;
     if (o.breaker_skip) {
-      ++report.breaker_skips;
-      report.degradation.failed.push_back(
+      ++rep.breaker_skips;
+      rep.degradation.failed.push_back(
           {static_cast<uint32_t>(s), o.status});
       continue;
     }
-    ++report.shards_dispatched;
-    if (o.hedged) ++report.hedges;
-    if (o.hedge_win) ++report.hedge_wins;
-    report.failovers += o.failovers;
+    ++rep.shards_dispatched;
+    if (o.hedged) ++rep.hedges;
+    if (o.hedge_win) ++rep.hedge_wins;
+    rep.failovers += o.failovers;
     obs::Cat().shard_dispatch_seconds->Observe(
         static_cast<uint64_t>(o.elapsed_ns));
     if (o.ok) {
-      ++report.degradation.shards_answered;
+      ++rep.degradation.shards_answered;
       partials.push_back(&o.answer);
     } else {
-      report.degradation.failed.push_back(
+      rep.degradation.failed.push_back(
           {static_cast<uint32_t>(s), o.status});
     }
   }
-  dispatches_.fetch_add(report.shards_dispatched, std::memory_order_relaxed);
-  hedges_.fetch_add(report.hedges, std::memory_order_relaxed);
-  hedge_wins_.fetch_add(report.hedge_wins, std::memory_order_relaxed);
-  failovers_.fetch_add(report.failovers, std::memory_order_relaxed);
-  breaker_skips_.fetch_add(report.breaker_skips, std::memory_order_relaxed);
+  dispatches_.fetch_add(rep.shards_dispatched, std::memory_order_relaxed);
+  hedges_.fetch_add(rep.hedges, std::memory_order_relaxed);
+  hedge_wins_.fetch_add(rep.hedge_wins, std::memory_order_relaxed);
+  failovers_.fetch_add(rep.failovers, std::memory_order_relaxed);
+  breaker_skips_.fetch_add(rep.breaker_skips, std::memory_order_relaxed);
   {
     const obs::Catalog& cat = obs::Cat();
-    cat.shard_dispatches->Add(report.shards_dispatched);
-    cat.shard_hedges->Add(report.hedges);
-    cat.shard_hedge_wins->Add(report.hedge_wins);
-    cat.shard_failovers->Add(report.failovers);
-    cat.shard_breaker_skips->Add(report.breaker_skips);
+    cat.shard_dispatches->Add(rep.shards_dispatched);
+    cat.shard_hedges->Add(rep.hedges);
+    cat.shard_hedge_wins->Add(rep.hedge_wins);
+    cat.shard_failovers->Add(rep.failovers);
+    cat.shard_breaker_skips->Add(rep.breaker_skips);
     cat.shard_fanout_seconds->Observe(static_cast<uint64_t>(fanout_ns));
   }
-  last_ = report;
 
-  if (report.degradation.shards_answered == 0 ||
-      (report.degradation.partial() && !options_.allow_partial)) {
+  if (rep.degradation.shards_answered == 0 ||
+      (rep.degradation.partial() && !options_.allow_partial)) {
     // Nothing usable (or partial coverage refused): surface the first
     // failed shard's status.
-    return report.degradation.failed.empty()
+    return rep.degradation.failed.empty()
                ? Status::Internal("sharded query produced no answer")
-               : report.degradation.failed.front().status;
+               : rep.degradation.failed.front().status;
   }
-  if (report.degradation.partial()) {
+  if (rep.degradation.partial()) {
     partial_answers_.fetch_add(1, std::memory_order_relaxed);
     obs::Cat().shard_partial_answers->Add();
   }
@@ -343,7 +342,7 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     return ctx->trip_status();
   }
 
-  if (cache_ != nullptr && !report.degradation.partial()) {
+  if (cache_ != nullptr && !rep.degradation.partial()) {
     if (frequent) {
       cache_->StoreFrequent(cache_epoch_, query, n0, n1, k, weights, merged);
     } else {
@@ -389,11 +388,12 @@ void ShardRouter::DispatchShard(
   const bool hedge = options_.hedge_threshold_ms > 0 && R > 1 &&
                      sh.ewma.ms() >= options_.hedge_threshold_ms;
   if (hedge) {
-    // Wait-both hedging: the duplicate runs on its own replica engine
-    // concurrently; we always join it before returning so no engine is
-    // ever touched by two queries at once. "First usable answer wins"
-    // decides attribution (hedge_win), not which answer is used —
-    // answers are identical, so preferring the primary's is harmless.
+    // Wait-both hedging: the duplicate runs on the next replica's engine
+    // concurrently (other queries may be on either engine too) and is
+    // joined before returning, as it borrows this frame. "First usable
+    // answer wins" decides attribution (hedge_win), not which answer is
+    // used — answers are identical, so preferring the primary's is
+    // harmless.
     out->hedged = true;
     const size_t hedge_replica = (primary + 1) % R;
     tried[primary] = 1;

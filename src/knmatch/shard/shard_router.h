@@ -72,8 +72,8 @@ struct RouterOptions {
 
   /// When a shard produces no answer (breaker open, every replica
   /// failed, or its slice tripped), answer from the surviving shards
-  /// and report the loss in last_dispatch().degradation instead of
-  /// failing the query. False surfaces the first shard error.
+  /// and report the loss in the query's DispatchReport.degradation
+  /// instead of failing the query. False surfaces the first shard error.
   bool allow_partial = true;
 
   /// Per-shard circuit breaker tuning (exec/circuit_breaker.h).
@@ -91,8 +91,8 @@ struct ShardFailure {
 };
 
 /// GovernanceTrip-style degradation record for a scatter-gather
-/// answer: which shards are missing from it and why. Populated on
-/// last_dispatch() whenever a query returns with partial coverage.
+/// answer: which shards are missing from it and why. Populated in the
+/// query's DispatchReport whenever it returns with partial coverage.
 struct ShardDegradation {
   /// Shards that produced no answer, ascending by shard index.
   std::vector<ShardFailure> failed;
@@ -104,8 +104,9 @@ struct ShardDegradation {
   bool partial() const { return !failed.empty(); }
 };
 
-/// Per-query dispatch diagnostics, in the mold of the engine's
-/// last_disk_method()/last_disk_fallback().
+/// Per-query dispatch diagnostics, filled through the optional
+/// `report` argument of ShardRouter::KnMatch/FrequentKnMatch (in the
+/// mold of the engine's DiskReport).
 struct DispatchReport {
   /// Shards actually dispatched to (non-empty, breaker allowed).
   size_t shards_dispatched = 0;
@@ -172,10 +173,10 @@ struct RebalanceReport {
 /// pointer swaps. Answers are placement-invariant, so the router's
 /// cache epoch survives a rebalance.
 ///
-/// Thread-safety: queries are internally serialized on one mutex (like
-/// the engine's batch entry points) and may run concurrently with
-/// Rebalance(). EnableCache/DisableCache/replica_engine() require
-/// external quiescence, like the engine's setup-time methods.
+/// Thread-safety: queries may run from many threads at once and beside
+/// Rebalance(); each fills its own DispatchReport. Cache hits never
+/// wait; misses take turns on the fan-out pool. EnableCache/
+/// DisableCache/replica_engine() require external quiescence.
 class ShardRouter {
  public:
   /// Copies (slices of) `db` into the shards. The source dataset is
@@ -188,18 +189,21 @@ class ShardRouter {
 
   /// Scatter-gather k-n-match. `ctx` governs the whole query; each
   /// shard runs under a slice of its deadline/budgets (see
-  /// RouterOptions). On a full-coverage answer last_dispatch()
-  /// .degradation.partial() is false; under allow_partial a shard
-  /// failure degrades coverage instead of failing the call.
+  /// RouterOptions). When `report` is non-null it receives this
+  /// call's dispatch diagnostics: on a full-coverage answer
+  /// report->degradation.partial() is false; under allow_partial a
+  /// shard failure degrades coverage instead of failing the call.
   Result<KnMatchResult> KnMatch(std::span<const Value> query, size_t n,
                                 size_t k,
                                 std::span<const Value> weights = {},
-                                QueryContext* ctx = nullptr) const;
+                                QueryContext* ctx = nullptr,
+                                DispatchReport* report = nullptr) const;
 
   /// Scatter-gather frequent k-n-match; as KnMatch.
   Result<FrequentKnMatchResult> FrequentKnMatch(
       std::span<const Value> query, size_t n0, size_t n1, size_t k,
-      std::span<const Value> weights = {}, QueryContext* ctx = nullptr) const;
+      std::span<const Value> weights = {}, QueryContext* ctx = nullptr,
+      DispatchReport* report = nullptr) const;
 
   /// Recomputes a balanced partition->shard assignment (longest-
   /// processing-time greedy) and atomically swaps in a freshly built
@@ -207,10 +211,6 @@ class ShardRouter {
   /// pinned snapshot. Replica breakers/EWMAs restart fresh; attached
   /// fault injectors do not carry over (re-attach via replica_engine).
   Result<RebalanceReport> Rebalance();
-
-  /// Diagnostics for the most recent query (serialized with queries,
-  /// like the engine's last_disk_* state).
-  const DispatchReport& last_dispatch() const { return last_; }
 
   /// Lifetime counters plus current shard sizes.
   RouterStats Stats() const;
@@ -247,8 +247,8 @@ class ShardRouter {
   Result<FrequentKnMatchResult> RunQuery(std::span<const Value> query,
                                          size_t n0, size_t n1, size_t k,
                                          std::span<const Value> weights,
-                                         QueryContext* ctx,
-                                         bool frequent) const;
+                                         QueryContext* ctx, bool frequent,
+                                         DispatchReport* report) const;
 
   /// One shard's dispatch: breaker consult, primary (+ optional hedged
   /// replica) attempt, failover walk. Runs on a fan-out worker.
@@ -288,9 +288,7 @@ class ShardRouter {
   mutable std::mutex set_mu_;          // guards set_ swaps and plan_
   std::shared_ptr<const ShardSet> set_;
 
-  mutable std::mutex query_mu_;        // serializes whole queries
   mutable std::unique_ptr<exec::ThreadPool> pool_;
-  mutable DispatchReport last_;
 
   // Lifetime counters (relaxed; read by Stats() and the obs family).
   mutable std::atomic<uint64_t> queries_{0};

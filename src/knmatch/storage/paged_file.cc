@@ -1,5 +1,6 @@
 #include "knmatch/storage/paged_file.h"
 
+#include <atomic>
 #include <cassert>
 #include <string>
 
@@ -63,7 +64,8 @@ void PagedFile::WritePageTorn(size_t index,
 Result<std::span<const std::byte>> PagedFile::VerifyStored(
     size_t index) const {
   const std::vector<std::byte>& page = pages_[index];
-  if (verified_[index]) {
+  std::atomic_ref<uint8_t> verified(verified_[index]);
+  if (verified.load() != 0) {
     // Already proven intact; re-derive the payload view from the
     // header without recomputing the checksum.
     uint32_t len;
@@ -74,7 +76,7 @@ Result<std::span<const std::byte>> PagedFile::VerifyStored(
   obs::TraceSpan span(obs::Phase::kVerify);
   auto payload = VerifyAndUnframePage(page);
   if (payload.ok()) {
-    verified_[index] = true;
+    verified.store(1);
   } else {
     obs::Cat().checksum_failures->Add();
   }

@@ -104,8 +104,9 @@ class PagedFile {
   /// Per-page global ids (contiguous for bulk-built files, but live
   /// ingest interleaves allocations across files).
   std::vector<uint64_t> global_of_;
-  /// Per-page memo of a passed at-rest verification.
-  mutable std::vector<bool> verified_;
+  /// Per-page memo of a passed at-rest verification: one byte per page,
+  /// read and set through std::atomic_ref by concurrent readers.
+  mutable std::vector<uint8_t> verified_;
 };
 
 /// Helpers to serialize plain scalar values into / out of page images.

@@ -56,7 +56,7 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
   BoundedTopK<PointId, Value, PointId> top(k);
   const DiskStream row_stream = rows_.OpenStream();
   std::vector<Value> buf;
-  last_points_refined_ = 0;
+  uint64_t points_refined = 0;
   {
     obs::TraceSpan span(obs::Phase::kVerify);
     for (const Candidate& cand : candidates) {
@@ -71,7 +71,7 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
         sum += diff * diff;
       }
       top.Offer(std::sqrt(sum), cand.pid, cand.pid);
-      ++last_points_refined_;
+      ++points_refined;
     }
   }
 
@@ -80,12 +80,12 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
     result.matches.push_back(Neighbor{e.item, e.score});
   }
   result.attributes_retrieved =
-      static_cast<uint64_t>(va_.size()) * d + last_points_refined_ * d;
+      static_cast<uint64_t>(va_.size()) * d + points_refined * d;
   obs::Cat().attrs_va->Add(result.attributes_retrieved);
-  obs::Cat().va_points_refined->Add(last_points_refined_);
+  obs::Cat().va_points_refined->Add(points_refined);
   if (obs::QueryTrace* trace = obs::CurrentTrace()) {
     trace->counters().attributes_retrieved += result.attributes_retrieved;
-    trace->counters().points_refined += last_points_refined_;
+    trace->counters().points_refined += points_refined;
   }
   return result;
 }

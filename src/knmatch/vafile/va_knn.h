@@ -25,16 +25,14 @@ class VaKnnSearcher {
   VaKnnSearcher(const VaFile& va, const RowStore& rows)
       : va_(va), rows_(rows) {}
 
-  /// Exact k nearest neighbors of `query`.
+  /// Exact k nearest neighbors of `query`. The answer's
+  /// attributes_retrieved is (N + candidates refined) x d: the whole
+  /// approximation plus each refined row.
   Result<KnMatchResult> Knn(std::span<const Value> query, size_t k) const;
-
-  /// Candidates refined by the most recent Knn() call.
-  uint64_t last_points_refined() const { return last_points_refined_; }
 
  private:
   const VaFile& va_;
   const RowStore& rows_;
-  mutable uint64_t last_points_refined_ = 0;
 };
 
 }  // namespace knmatch

@@ -67,17 +67,17 @@ TEST(SimilarityEngineTest, DiskCostIsReportedPerCall) {
   SimilarityEngine engine(datagen::MakeTextureLike(113, 5000));
   std::vector<Value> q(engine.dataset().point(5).begin(),
                        engine.dataset().point(5).end());
-  auto scan = engine.DiskFrequentKnMatch(q, 4, 8, 10,
-                                         SimilarityEngine::DiskMethod::kScan);
+  SimilarityEngine::DiskReport scan_report;
+  auto scan = engine.DiskFrequentKnMatch(
+      q, 4, 8, 10, SimilarityEngine::DiskMethod::kScan, nullptr, &scan_report);
   ASSERT_TRUE(scan.ok());
-  const auto scan_cost = engine.last_disk_cost();
-  EXPECT_GT(scan_cost.total_pages(), 0u);
+  EXPECT_GT(scan_report.cost.total_pages(), 0u);
 
-  auto ad = engine.DiskFrequentKnMatch(q, 4, 8, 10,
-                                       SimilarityEngine::DiskMethod::kAd);
+  SimilarityEngine::DiskReport ad_report;
+  auto ad = engine.DiskFrequentKnMatch(
+      q, 4, 8, 10, SimilarityEngine::DiskMethod::kAd, nullptr, &ad_report);
   ASSERT_TRUE(ad.ok());
-  const auto ad_cost = engine.last_disk_cost();
-  EXPECT_LT(ad_cost.total_pages(), scan_cost.total_pages());
+  EXPECT_LT(ad_report.cost.total_pages(), scan_report.cost.total_pages());
 }
 
 TEST(SimilarityEngineTest, DiskQueriesReleaseTheirStreams) {
@@ -105,11 +105,13 @@ TEST(SimilarityEngineTest, AutoRoutingPicksTheMeasuredWinner) {
   SimilarityEngine engine(datagen::MakeTextureLike(114, 40000));
   std::vector<Value> q(engine.dataset().point(77).begin(),
                        engine.dataset().point(77).end());
-  auto result = engine.DiskFrequentKnMatch(q, 4, 8, 10);
+  SimilarityEngine::DiskReport report;
+  auto result = engine.DiskFrequentKnMatch(
+      q, 4, 8, 10, SimilarityEngine::DiskMethod::kAuto, nullptr, &report);
   ASSERT_TRUE(result.ok());
   // On skewed 16-d data with a selective range the advisor should pick
   // the AD algorithm, matching the paper's Figures 11/15.
-  EXPECT_EQ(engine.last_disk_method(), SimilarityEngine::DiskMethod::kAd);
+  EXPECT_EQ(report.method, SimilarityEngine::DiskMethod::kAd);
   // The routed answer equals the scan's answer.
   auto scan = engine.DiskFrequentKnMatch(q, 4, 8, 10,
                                          SimilarityEngine::DiskMethod::kScan);

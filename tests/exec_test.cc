@@ -68,6 +68,50 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
   EXPECT_EQ(total.load(), 50u * 49u / 2);
 }
 
+TEST(ThreadPoolTest, ConcurrentCallersEachRunTheirOwnJob) {
+  // One pool shared by several calling threads, as the shard router's
+  // fan-out pool is by concurrent queries. Each call must run exactly
+  // its own indices, each once, before it returns.
+  exec::ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr size_t kRounds = 60;
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        const size_t count = 50 + 13 * static_cast<size_t>(c) + round;
+        std::vector<std::atomic<int>> hits(count);
+        std::atomic<bool> in_range{true};
+        auto hit = [&](size_t i) {
+          if (i >= count) {
+            in_range = false;
+            return;
+          }
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        };
+        if ((round + static_cast<size_t>(c)) % 2 == 0) {
+          pool.ParallelFor(count, [&](size_t, size_t i) { hit(i); });
+        } else {
+          pool.ParallelForChunked(count, 3,
+                                  [&](size_t, size_t begin, size_t end) {
+                                    for (size_t i = begin; i < end; ++i) {
+                                      hit(i);
+                                    }
+                                  });
+        }
+        bool exact = in_range.load();
+        for (size_t i = 0; i < count; ++i) {
+          if (hits[i].load() != 1) exact = false;
+        }
+        if (!exact) bad_calls.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
 TEST(ThreadPoolTest, ResolveThreadsMapsZeroToHardware) {
   const size_t hw = exec::ResolveThreads(0);
   EXPECT_GE(hw, 1u);
@@ -419,6 +463,55 @@ TEST(EngineConcurrencyTest, ConcurrentBatchCallsSerializeSafely) {
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(EngineConcurrencyTest, ConcurrentDiskQueriesReportTheirOwnMethod) {
+  // One thread per explicit disk method, all on one cold engine (so the
+  // threads also race its first page reads). Each call's DiskReport must
+  // name its own method, and every answer must equal the same query run
+  // alone on a twin engine.
+  SimilarityEngine engine(datagen::MakeUniform(600, 6, 7));
+  SimilarityEngine twin(datagen::MakeUniform(600, 6, 7));
+  using Method = SimilarityEngine::DiskMethod;
+  const Method methods[] = {Method::kScan, Method::kAd, Method::kVaFile,
+                            Method::kMemoryAd};
+  const std::vector<std::vector<Value>> queries =
+      MixedQueries(engine.dataset(), 12);
+  std::vector<std::vector<FrequentKnMatchResult>> alone(std::size(methods));
+  for (size_t m = 0; m < std::size(methods); ++m) {
+    for (const auto& q : queries) {
+      auto r = twin.DiskFrequentKnMatch(q, 2, 4, 5, methods[m]);
+      ASSERT_TRUE(r.ok());
+      alone[m].push_back(std::move(r.value()));
+    }
+  }
+
+  std::atomic<int> wrong_method{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t m = 0; m < std::size(methods); ++m) {
+    threads.emplace_back([&, m] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          SimilarityEngine::DiskReport report;
+          auto r = engine.DiskFrequentKnMatch(queries[i], 2, 4, 5, methods[m],
+                                              nullptr, &report);
+          if (report.method != methods[m] || !report.fallback.empty()) {
+            wrong_method.fetch_add(1);
+          }
+          const FrequentKnMatchResult& want = alone[m][i];
+          if (!r.ok() || r.value().matches != want.matches ||
+              r.value().frequencies != want.frequencies ||
+              r.value().per_n_sets != want.per_n_sets) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong_method.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 }
 

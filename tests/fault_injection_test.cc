@@ -414,10 +414,12 @@ TEST(EngineFaultTest, ExplicitMethodSurfacesItsError) {
   engine.SetFaultInjector(&injector);
 
   const std::vector<Value> q = MidQuery(3);
-  auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAd);
+  SimilarityEngine::DiskReport report;
+  auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAd, nullptr,
+                                      &report);
   EXPECT_TRUE(StatusIs(r, StatusCode::kDataLoss));
-  EXPECT_EQ(engine.last_disk_method(), DiskMethod::kAd);
-  EXPECT_TRUE(engine.last_disk_fallback().empty());
+  EXPECT_EQ(report.method, DiskMethod::kAd);
+  EXPECT_TRUE(report.fallback.empty());
 }
 
 TEST(EngineFaultTest, AutoDegradesToMemoryAdWhenDiskIsGone) {
@@ -431,12 +433,14 @@ TEST(EngineFaultTest, AutoDegradesToMemoryAdWhenDiskIsGone) {
   auto expected = clean.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kScan);
   ASSERT_TRUE(expected.ok());
 
-  auto got = faulty.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto);
+  SimilarityEngine::DiskReport report;
+  auto got = faulty.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto,
+                                        nullptr, &report);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(faulty.last_disk_method(), DiskMethod::kMemoryAd);
+  EXPECT_EQ(report.method, DiskMethod::kMemoryAd);
   // Whatever the advisor picked, the three disk methods all failed.
-  ASSERT_EQ(faulty.last_disk_fallback().size(), 3u);
-  for (const auto& step : faulty.last_disk_fallback()) {
+  ASSERT_EQ(report.fallback.size(), 3u);
+  for (const auto& step : report.fallback) {
     EXPECT_TRUE(StatusIs(step.status, StatusCode::kUnavailable));
     EXPECT_NE(step.method, DiskMethod::kMemoryAd);
   }
@@ -463,11 +467,13 @@ TEST(EngineFaultTest, AutoRoutesAroundAPoisonedColumnStore) {
   const std::vector<Value> q = MidQuery(3);
   auto expected = clean.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kScan);
   ASSERT_TRUE(expected.ok());
-  auto got = faulty.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto);
+  SimilarityEngine::DiskReport report;
+  auto got = faulty.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto,
+                                        nullptr, &report);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   // The answer came from a method that still has its data.
-  EXPECT_NE(faulty.last_disk_method(), DiskMethod::kAd);
-  for (const auto& step : faulty.last_disk_fallback()) {
+  EXPECT_NE(report.method, DiskMethod::kAd);
+  for (const auto& step : report.fallback) {
     EXPECT_EQ(step.method, DiskMethod::kAd);
     EXPECT_TRUE(StatusIs(step.status, StatusCode::kDataLoss));
   }
@@ -602,7 +608,9 @@ TEST(FaultSoakTest, TwoThousandQueriesSurviveARandomizedFaultSchedule) {
 
     // kAuto must always answer (the in-memory terminal fallback cannot
     // fail), and the answer must be bit-identical to the healthy run.
-    auto got = faulty.DiskFrequentKnMatch(q, 2, 4, 5, DiskMethod::kAuto);
+    SimilarityEngine::DiskReport report;
+    auto got = faulty.DiskFrequentKnMatch(q, 2, 4, 5, DiskMethod::kAuto,
+                                          nullptr, &report);
     ASSERT_TRUE(got.ok()) << "query " << qi << ": "
                           << got.status().ToString();
     ASSERT_EQ(got.value().matches, expected.value().matches) << "query " << qi;
@@ -610,7 +618,7 @@ TEST(FaultSoakTest, TwoThousandQueriesSurviveARandomizedFaultSchedule) {
         << "query " << qi;
     ASSERT_EQ(got.value().per_n_sets, expected.value().per_n_sets)
         << "query " << qi;
-    if (!faulty.last_disk_fallback().empty()) ++degraded;
+    if (!report.fallback.empty()) ++degraded;
   }
   // The schedule genuinely fired.
   EXPECT_GT(injector.transient_faults_injected(), 0u);
@@ -627,9 +635,11 @@ TEST(FaultSoakTest, TwoThousandQueriesSurviveARandomizedFaultSchedule) {
     for (size_t d = 0; d < kDims; ++d) q[d] = rng.Uniform(0.0, 1.0);
     auto expected = clean.DiskFrequentKnMatch(q, 2, 4, 5, DiskMethod::kScan);
     ASSERT_TRUE(expected.ok());
-    auto got = faulty.DiskFrequentKnMatch(q, 2, 4, 5, DiskMethod::kAuto);
+    SimilarityEngine::DiskReport report;
+    auto got = faulty.DiskFrequentKnMatch(q, 2, 4, 5, DiskMethod::kAuto,
+                                          nullptr, &report);
     ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(faulty.last_disk_fallback().empty()) << "query " << qi;
+    EXPECT_TRUE(report.fallback.empty()) << "query " << qi;
     ASSERT_EQ(got.value().matches, expected.value().matches);
     ASSERT_EQ(got.value().per_n_sets, expected.value().per_n_sets);
   }

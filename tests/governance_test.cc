@@ -131,12 +131,13 @@ TEST(GovernanceDeadlineTest, AutoRoutedTripNeverFallsBack) {
   BigRig& rig = Rig();
   QueryContext ctx;
   ctx.set_deadline_in_ms(1.0);
+  SimilarityEngine::DiskReport report;
   auto r = rig.engine.DiskFrequentKnMatch(rig.query, kBigN0, kBigN1, kBigK,
-                                          DiskMethod::kAuto, &ctx);
+                                          DiskMethod::kAuto, &ctx, &report);
   EXPECT_TRUE(StatusIs(r.status(), StatusCode::kDeadlineExceeded));
   // The retry-amplification guard: a query that ran out of deadline is
   // surfaced, never re-run on a fallback method.
-  EXPECT_TRUE(rig.engine.last_disk_fallback().empty());
+  EXPECT_TRUE(report.fallback.empty());
 }
 
 TEST(GovernanceDeadlineTest, EngineIsReusableAfterATrip) {
@@ -458,10 +459,12 @@ TEST(GovernanceBreakerTest, EngineStopsRoutingToAFailingDiskAndRecovers) {
 
   // Every disk read fails, so each kAuto query walks the whole chain to
   // the in-memory terminal and feeds one failure to every breaker.
+  SimilarityEngine::DiskReport report;
   for (int i = 0; i < 12; ++i) {
-    auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto);
+    auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto,
+                                        nullptr, &report);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(engine.last_disk_method(), DiskMethod::kMemoryAd);
+    EXPECT_EQ(report.method, DiskMethod::kMemoryAd);
   }
   for (DiskMethod m :
        {DiskMethod::kScan, DiskMethod::kAd, DiskMethod::kVaFile}) {
@@ -478,11 +481,12 @@ TEST(GovernanceBreakerTest, EngineStopsRoutingToAFailingDiskAndRecovers) {
   // latently — they would probe the next time routing reaches them.
   engine.ClearFaults();
   for (int i = 0; i < 30; ++i) {
-    auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto);
+    auto r = engine.DiskFrequentKnMatch(q, 1, 3, 5, DiskMethod::kAuto,
+                                        nullptr, &report);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  ASSERT_NE(engine.last_disk_method(), DiskMethod::kMemoryAd);
-  EXPECT_EQ(engine.circuit_breaker(engine.last_disk_method())->state(),
+  ASSERT_NE(report.method, DiskMethod::kMemoryAd);
+  EXPECT_EQ(engine.circuit_breaker(report.method)->state(),
             CircuitBreaker::State::kClosed);
 }
 

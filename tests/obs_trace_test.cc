@@ -147,18 +147,20 @@ TEST(ObsTraceEndToEndTest, DiskQueryRecordsPagesAndModelledIo) {
   SimilarityEngine engine(datagen::MakeUniform(300, 6, /*seed=*/17));
   QueryTrace trace;
   Result<FrequentKnMatchResult> r = Status::Internal("unset");
+  SimilarityEngine::DiskReport report;
   {
     TraceScope scope(&trace);
     r = engine.DiskFrequentKnMatch(QueryAt(db, 9), /*n0=*/2, /*n1=*/4,
                                    /*k=*/5,
-                                   SimilarityEngine::DiskMethod::kScan);
+                                   SimilarityEngine::DiskMethod::kScan,
+                                   nullptr, &report);
   }
   ASSERT_TRUE(r.ok());
   const TraceCounters& c = trace.counters();
   EXPECT_GT(c.sequential_pages + c.random_pages + c.buffer_hits, 0u);
   EXPECT_GT(trace.phase_seconds(Phase::kDiskIo), 0.0);
   EXPECT_EQ(trace.phase_seconds(Phase::kDiskIo),
-            engine.last_disk_cost().io_seconds);
+            report.cost.io_seconds);
   EXPECT_EQ(c.attributes_retrieved, r.value().attributes_retrieved);
   EXPECT_EQ(c.fallbacks, 0u);
 }

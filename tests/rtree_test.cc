@@ -77,7 +77,9 @@ TEST(RTreeTest, KnnVisitsFewNodesInLowDimensions) {
   auto r = tree.Knn(q, 10);
   ASSERT_TRUE(r.ok());
   // In 2-d the best-first search should prune the vast majority.
-  EXPECT_LT(tree.last_nodes_visited(), tree.num_nodes() / 4);
+  const uint64_t visited =
+      r.value().attributes_retrieved / (tree.node_capacity() * 2);
+  EXPECT_LT(visited, tree.num_nodes() / 4);
 }
 
 TEST(RTreeTest, DimensionalityCurseDegradesPruning) {
@@ -90,7 +92,8 @@ TEST(RTreeTest, DimensionalityCurseDegradesPruning) {
     auto r = tree.Knn(q, 10);
     ASSERT_TRUE(r.ok());
     const double fraction =
-        static_cast<double>(tree.last_nodes_visited()) /
+        static_cast<double>(r.value().attributes_retrieved /
+                            (tree.node_capacity() * d)) /
         static_cast<double>(tree.num_nodes());
     (d == 2 ? low_d_fraction : high_d_fraction) = fraction;
   }
@@ -131,7 +134,8 @@ TEST(RTreeTest, ChargesNodeVisits) {
   std::vector<Value> q = {0.5, 0.5};
   auto r = tree.Knn(q, 5);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(disk.total_reads(), tree.last_nodes_visited());
+  EXPECT_EQ(disk.total_reads(),
+            r.value().attributes_retrieved / (tree.node_capacity() * 2));
 }
 
 TEST(RTreeTest, DuplicatePointsAllRetrievable) {

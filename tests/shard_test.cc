@@ -198,15 +198,16 @@ TEST(ShardRouterBasics, MoreShardsThanPointsSkipsEmptyShards) {
   options.shards = 16;
   const ShardRouter router(db, options);
   const std::vector<Value> q(4, 0.4f);
-  auto sharded = router.KnMatch(q, 1, 5);  // k == cardinality
+  shard::DispatchReport report;
+  auto sharded = router.KnMatch(q, 1, 5, {}, nullptr, &report);  // k == |db|
   auto direct = engine.KnMatch(q, 1, 5);
   ASSERT_TRUE(sharded.ok());
   ASSERT_TRUE(direct.ok());
   ExpectSameMatches(sharded.value().matches, direct.value().matches,
                     "tiny dataset");
   // Empty shards are neither dispatched nor failures.
-  EXPECT_FALSE(router.last_dispatch().degradation.partial());
-  EXPECT_LE(router.last_dispatch().shards_dispatched, 5u);
+  EXPECT_FALSE(report.degradation.partial());
+  EXPECT_LE(report.shards_dispatched, 5u);
 }
 
 TEST(ShardRouterBasics, ValidatesLikeTheEngine) {
@@ -247,12 +248,13 @@ TEST(ShardRouterBasics, StatsAndCacheHits) {
 
   router.EnableCache();
   const std::vector<Value> q(6, 0.3f);
-  auto cold = router.KnMatch(q, 2, 8);
+  shard::DispatchReport report;
+  auto cold = router.KnMatch(q, 2, 8, {}, nullptr, &report);
   ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(router.last_dispatch().cache_hit);
-  auto warm = router.KnMatch(q, 2, 8);
+  EXPECT_FALSE(report.cache_hit);
+  auto warm = router.KnMatch(q, 2, 8, {}, nullptr, &report);
   ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(router.last_dispatch().cache_hit);
+  EXPECT_TRUE(report.cache_hit);
   ExpectSameMatches(warm.value().matches, cold.value().matches, "cache");
 
   stats = router.Stats();
@@ -278,27 +280,31 @@ struct SoakRig {
       : db(datagen::MakeUniform(cardinality, dims, seed)), reference(db) {}
 
   // Runs `queries` random queries against `router`, asserting
-  // bit-identity with the unsharded reference engine.
+  // bit-identity with the unsharded reference engine and full shard
+  // coverage in every query's own report.
   void Soak(const ShardRouter& router, int queries, Rng& rng) {
     for (int i = 0; i < queries; ++i) {
       const std::vector<Value> q = RandomQuery(rng, db.dims());
       const size_t n0 = 1 + rng.UniformInt(db.dims());
       const size_t n1 = n0 + rng.UniformInt(db.dims() - n0 + 1);
       const size_t k = 1 + rng.UniformInt(20);
+      shard::DispatchReport report;
       if (i % 2 == 0) {
-        auto sharded = router.KnMatch(q, n0, k);
+        auto sharded = router.KnMatch(q, n0, k, {}, nullptr, &report);
         auto direct = reference.KnMatch(q, n0, k);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
         ASSERT_TRUE(direct.ok());
         ExpectSameMatches(sharded.value().matches, direct.value().matches,
                           "soak knmatch");
       } else {
-        auto sharded = router.FrequentKnMatch(q, n0, n1, k);
+        auto sharded =
+            router.FrequentKnMatch(q, n0, n1, k, {}, nullptr, &report);
         auto direct = reference.FrequentKnMatch(q, n0, n1, k);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
         ASSERT_TRUE(direct.ok());
         ExpectSameFrequent(sharded.value(), direct.value());
       }
+      EXPECT_FALSE(report.degradation.partial()) << "soak query " << i;
       if (HasFatalFailure()) return;
     }
   }
@@ -320,7 +326,6 @@ TEST(ShardDifferentialSoak, AllPartitionersBitIdentical) {
     const ShardRouter router(rig.db, options);
     rig.Soak(router, 300, rng);
     if (testing::Test::HasFatalFailure()) return;
-    EXPECT_FALSE(router.last_dispatch().degradation.partial());
   }
 }
 
@@ -358,7 +363,6 @@ TEST(ShardDifferentialSoak, AutoDiskAbsorbsInjectedFaults) {
   router.replica_engine(2, 0)->SetFaultInjector(&chaos2);
   Rng rng(8);
   rig.Soak(router, 60, rng);
-  EXPECT_FALSE(router.last_dispatch().degradation.partial());
   router.replica_engine(0, 0)->SetFaultInjector(nullptr);
   router.replica_engine(2, 0)->SetFaultInjector(nullptr);
 }
@@ -428,17 +432,17 @@ TEST(ShardGovernance, BreakerTripYieldsWellFormedPartialAnswer) {
   bool saw_breaker_skip = false;
   for (int i = 0; i < 20; ++i) {
     const std::vector<Value> q = RandomQuery(rng, db.dims());
-    auto partial = router.FrequentKnMatch(q, 2, 4, 9);
+    shard::DispatchReport report;
+    auto partial = router.FrequentKnMatch(q, 2, 4, 9, {}, nullptr, &report);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-    const shard::ShardDegradation& deg =
-        router.last_dispatch().degradation;
+    const shard::ShardDegradation& deg = report.degradation;
     ASSERT_TRUE(deg.partial());
     ASSERT_EQ(deg.failed.size(), 1u);
     EXPECT_EQ(deg.failed[0].shard, 1u);
     EXPECT_TRUE(StatusIs(deg.failed[0].status, StatusCode::kUnavailable));
     EXPECT_EQ(deg.shards_answered, 3u);
     EXPECT_EQ(deg.shards_total, 4u);
-    if (router.last_dispatch().breaker_skips > 0) saw_breaker_skip = true;
+    if (report.breaker_skips > 0) saw_breaker_skip = true;
 
     // The partial answer is exactly the full answer over the surviving
     // shards' points.
@@ -611,6 +615,133 @@ TEST(ShardRebalance, QueriesKeepAnsweringDuringRebalance) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_GT(checked.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent queries: no router state is shared between calls, so
+// queries run side by side (and beside Rebalance) with their own
+// reports. Run under TSan by scripts/check_tsan.sh.
+
+// Four query threads soak `router` while a fifth rebalances it once the
+// queries are under way; every answer must equal the reference engine's
+// and every report must show full coverage.
+void ConcurrentSoakWithRebalance(const SoakRig& rig, ShardRouter* router,
+                                 int per_thread) {
+  constexpr int kThreads = 4;
+  std::atomic<int> answered{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + static_cast<uint64_t>(t));
+      for (int i = 0; i < per_thread; ++i) {
+        const std::vector<Value> q = RandomQuery(rng, rig.db.dims());
+        const size_t k = 1 + rng.UniformInt(12);
+        shard::DispatchReport report;
+        bool same = false;
+        if (i % 2 == 0) {
+          auto sharded = router->KnMatch(q, 2, k, {}, nullptr, &report);
+          auto direct = rig.reference.KnMatch(q, 2, k);
+          same = sharded.ok() && direct.ok() &&
+                 sharded.value().matches == direct.value().matches;
+        } else {
+          auto sharded =
+              router->FrequentKnMatch(q, 2, 4, k, {}, nullptr, &report);
+          auto direct = rig.reference.FrequentKnMatch(q, 2, 4, k);
+          same = sharded.ok() && direct.ok() &&
+                 sharded.value().matches == direct.value().matches &&
+                 sharded.value().frequencies ==
+                     direct.value().frequencies &&
+                 sharded.value().per_n_sets == direct.value().per_n_sets;
+        }
+        if (!same || report.degradation.partial()) wrong.fetch_add(1);
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    // Let the readers get going so the swap lands mid-soak, then keep
+    // rebalancing (later calls find the plan balanced and only pin and
+    // compare) until the readers finish.
+    while (answered.load(std::memory_order_relaxed) < 8) {
+      std::this_thread::yield();
+    }
+    while (answered.load(std::memory_order_relaxed) <
+           kThreads * per_thread) {
+      if (!router->Rebalance().ok()) wrong.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(router->Stats().rebalances, 1u);
+}
+
+TEST(ShardConcurrency, HedgedQueriesRacingRebalanceAreBitIdentical) {
+  SoakRig rig(500, 6, 61);
+  RouterOptions options;
+  options.shards = 4;
+  options.replicas = 2;
+  options.partitioner = Partitioner::kKMeans;
+  options.hedge_threshold_ms = 1e-9;  // hedge every dispatch after the first
+  ShardRouter router(rig.db, options);
+  ConcurrentSoakWithRebalance(rig, &router, 40);
+  EXPECT_GT(router.Stats().partitions_moved, 0u);
+  EXPECT_GT(router.Stats().hedges, 0u);
+}
+
+TEST(ShardConcurrency, DiskQueriesRacingRebalanceAreBitIdentical) {
+  SoakRig rig(300, 5, 62);
+  RouterOptions options;
+  options.shards = 4;
+  options.partitioner = Partitioner::kKMeans;
+  options.method = RouterOptions::Method::kDiskAuto;
+  ShardRouter router(rig.db, options);
+  ConcurrentSoakWithRebalance(rig, &router, 20);
+}
+
+TEST(ShardConcurrency, EachCallerGetsItsOwnDispatchReport) {
+  // One thread repeats cached queries while another runs fresh ones. A
+  // report shared between callers would leak one thread's cache_hit
+  // into the other's.
+  const Dataset db = datagen::MakeUniform(400, 6, 63);
+  RouterOptions options;
+  options.shards = 4;
+  ShardRouter router(db, options);
+  router.EnableCache();
+  Rng rng(64);
+  std::vector<std::vector<Value>> hot;
+  for (int i = 0; i < 8; ++i) {
+    hot.push_back(RandomQuery(rng, db.dims()));
+    ASSERT_TRUE(router.KnMatch(hot.back(), 3, 6).ok());
+  }
+
+  std::atomic<int> wrong_hits{0};
+  std::atomic<int> wrong_misses{0};
+  std::thread cached([&] {
+    for (int round = 0; round < 60; ++round) {
+      for (const auto& q : hot) {
+        shard::DispatchReport report;
+        auto r = router.KnMatch(q, 3, 6, {}, nullptr, &report);
+        if (!r.ok() || !report.cache_hit) wrong_hits.fetch_add(1);
+      }
+    }
+  });
+  std::thread fresh([&] {
+    Rng fresh_rng(65);
+    for (int i = 0; i < 120; ++i) {
+      shard::DispatchReport report;
+      auto r = router.KnMatch(RandomQuery(fresh_rng, db.dims()), 3, 6, {},
+                              nullptr, &report);
+      if (!r.ok() || report.cache_hit || report.shards_dispatched != 4) {
+        wrong_misses.fetch_add(1);
+      }
+    }
+  });
+  cached.join();
+  fresh.join();
+  EXPECT_EQ(wrong_hits.load(), 0);
+  EXPECT_EQ(wrong_misses.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

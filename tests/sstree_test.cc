@@ -76,7 +76,8 @@ TEST(SsTreeTest, PrunesInLowDimensionsCursesInHigh) {
     auto r = tree.Knn(q, 10);
     ASSERT_TRUE(r.ok());
     const double fraction =
-        static_cast<double>(tree.last_nodes_visited()) /
+        static_cast<double>(r.value().attributes_retrieved /
+                            (tree.node_capacity() * d)) /
         static_cast<double>(tree.num_nodes());
     (d == 2 ? low : high) = fraction;
   }
@@ -91,7 +92,8 @@ TEST(SsTreeTest, ChargesNodeVisits) {
   disk.ResetCounters();
   auto r = tree.Knn(std::vector<Value>(3, 0.4), 5);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(disk.total_reads(), tree.last_nodes_visited());
+  EXPECT_EQ(disk.total_reads(),
+            r.value().attributes_retrieved / (tree.node_capacity() * 3));
 }
 
 TEST(SsTreeTest, DuplicatePointsAllRetrievable) {
