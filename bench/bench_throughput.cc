@@ -386,12 +386,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // sharded_scatter_gather: router QPS across shard counts with replica
-  // groups and hedging forced on (every warm dispatch duplicates to the
-  // second replica — the lane measures the policy's worst-case cost,
-  // not its latency win). Every pass is checksummed against the
-  // unsharded engine: the scatter-gather merge is exact by contract.
-  // Field names (sharded_qps / fanout_ms_mean / hedge_rate) keep the
+  // sharded_scatter_gather: router QPS across shard counts with
+  // two-replica groups (each query's primary rotates across the group).
+  // Every pass is checksummed against the unsharded engine: the
+  // scatter-gather merge is exact by contract.
+  // Field names (sharded_qps / fanout_ms_mean) keep the
   // lane out of the sequential-drift gate; check_bench_drift.sh gates
   // it on progress instead.
   {
@@ -411,7 +410,6 @@ int main(int argc, char** argv) {
       shard::RouterOptions options;
       options.shards = shards;
       options.replicas = 2;
-      options.hedge_threshold_ms = 1e-6;
       const shard::ShardRouter router(engine.dataset(), options);
 
       auto run_router = [&router, &request]() {
@@ -452,22 +450,15 @@ int main(int argc, char** argv) {
                                           dispatch_before.sum_raw) *
                     dispatch_after.scale / static_cast<double>(dispatch_count)
               : 0.0;
-      const shard::RouterStats stats = router.Stats();
-      const double hedge_rate =
-          stats.dispatches > 0
-              ? static_cast<double>(stats.hedges) /
-                    static_cast<double>(stats.dispatches)
-              : 0.0;
 
       std::printf("%-20s S=%-2zu R=2:  %8.1f q/s  (%.3f ms/shard "
-                  "dispatch, hedge rate %.2f, checksum ok)\n",
+                  "dispatch, checksum ok)\n",
                   first_config ? "sharded_scatter" : "", shards, qps,
-                  fanout_ms_mean, hedge_rate);
+                  fanout_ms_mean);
       std::fprintf(json,
                    "%s\n      {\"shards\": %zu, \"sharded_qps\": %.1f, "
-                   "\"fanout_ms_mean\": %.4f, \"hedge_rate\": %.3f}",
-                   first_config ? "" : ",", shards, qps, fanout_ms_mean,
-                   hedge_rate);
+                   "\"fanout_ms_mean\": %.4f}",
+                   first_config ? "" : ",", shards, qps, fanout_ms_mean);
       first_config = false;
     }
     std::fprintf(json, "\n    ]}");

@@ -49,7 +49,7 @@
 //                                     over the current dataset
 //   shard query <n> <k> <pid>         sharded k-n-match (exact merge)
 //   shard fquery <n0> <n1> <k> <pid>  sharded frequent k-n-match
-//   shard stats                       dispatch/hedge/failover counters,
+//   shard stats                       dispatch/failover counters,
 //                                     per-shard loads and breaker states
 //   shard rebalance                   LPT rebalance under snapshot reads
 //   shard off                         back to the unsharded engine
@@ -686,9 +686,6 @@ class Cli {
         }
         std::printf("  %zu shard(s) dispatched", d.shards_dispatched);
         if (d.cache_hit) std::printf(", served from cache");
-        if (d.hedges > 0) {
-          std::printf(", %zu hedged (%zu won)", d.hedges, d.hedge_wins);
-        }
         if (d.failovers > 0) std::printf(", %zu failover(s)", d.failovers);
         if (d.breaker_skips > 0) {
           std::printf(", %zu breaker skip(s)", d.breaker_skips);
@@ -707,13 +704,11 @@ class Cli {
       } else if (what == "stats") {
         const shard::RouterStats st = router_->Stats();
         std::printf(
-            "  queries %llu  dispatches %llu  hedges %llu (%llu won)\n"
+            "  queries %llu  dispatches %llu\n"
             "  failovers %llu  breaker skips %llu  partial answers %llu\n"
             "  rebalances %llu (%llu partitions moved)  cache hits %llu\n",
             static_cast<unsigned long long>(st.queries),
             static_cast<unsigned long long>(st.dispatches),
-            static_cast<unsigned long long>(st.hedges),
-            static_cast<unsigned long long>(st.hedge_wins),
             static_cast<unsigned long long>(st.failovers),
             static_cast<unsigned long long>(st.breaker_skips),
             static_cast<unsigned long long>(st.partial_answers),

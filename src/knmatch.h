@@ -19,9 +19,7 @@
 #include "knmatch/common/types.h"
 
 #include "knmatch/core/ad_algorithm.h"
-#include "knmatch/core/ad_stream.h"
 #include "knmatch/core/answer_merge.h"
-#include "knmatch/core/categorical.h"
 #include "knmatch/core/match_types.h"
 #include "knmatch/core/nmatch.h"
 #include "knmatch/core/nmatch_join.h"

@@ -20,6 +20,11 @@ namespace {
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
+/// Near-miss probes examine at most this many entries per shard, most
+/// recently used first, so a warm-start scan stays bounded no matter
+/// how large the cache grows.
+constexpr size_t kWarmScanLimit = 128;
+
 void HashBytes(uint64_t* h, const void* data, size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t acc = *h;
@@ -336,7 +341,7 @@ std::optional<WarmSeeds> QueryResultCache::FindWarmSeeds(
     std::scoped_lock lock(shard.mu);
     size_t examined = 0;
     for (const Entry& e : shard.lru) {
-      if (++examined > config_.warm_scan_limit) break;
+      if (++examined > kWarmScanLimit) break;
       const Key& ek = e.key;
       if (ek.epoch != epoch || ek.method != method ||
           ek.n0 != static_cast<uint32_t>(n0) ||
@@ -397,7 +402,7 @@ void QueryResultCache::OnPointInserted(PointId pid,
       } else if (ek.method == CachedMethod::kKnn) {
         const Value d = MetricDistance(coords, ek.query,
                                        static_cast<Metric>(ek.metric));
-        affected = d <= it->level_kth[0] + config_.guard_band;
+        affected = d <= it->level_kth[0];
       } else {
         difs.resize(coords.size());
         for (size_t i = 0; i < coords.size(); ++i) {
@@ -406,11 +411,10 @@ void QueryResultCache::OnPointInserted(PointId pid,
         }
         std::sort(difs.begin(), difs.end());
         // The new point can enter the level-n answer set only if its
-        // n-match difference is within that level's k-th best (plus
-        // the guard band); otherwise the cached sets are unchanged.
+        // n-match difference is within that level's k-th best;
+        // otherwise the cached sets are unchanged.
         for (uint32_t n = ek.n0; n <= ek.n1 && !affected; ++n) {
-          affected = difs[n - 1] <= it->level_kth[n - ek.n0] +
-                                        config_.guard_band;
+          affected = difs[n - 1] <= it->level_kth[n - ek.n0];
         }
       }
       if (affected) victims.push_back(it);

@@ -39,16 +39,6 @@ struct CacheConfig {
   /// of a cached query of the same shape reuses the cached answer set
   /// as seed candidates (see core/ad_warm.h). 0 disables the probe.
   double warm_radius = 0;
-  /// Slack added to an entry's k-th best difference when deciding
-  /// whether an inserted point could enter its answer set. The exact
-  /// threshold test is already safe (<=, so boundary ties evict); the
-  /// band absorbs callers who recompute coordinates with slightly
-  /// different arithmetic before re-inserting them.
-  Value guard_band = 0;
-  /// Near-miss probes examine at most this many entries per shard,
-  /// most recently used first, so a warm-start scan stays bounded no
-  /// matter how large the cache grows.
-  size_t warm_scan_limit = 128;
 };
 
 /// Allocates a process-unique result epoch. Every cache-binding owner
@@ -96,9 +86,9 @@ struct WarmSeeds {
 /// in an answer set cannot alter the k smallest differences). An
 /// insert evicts an entry only when the new point's n-match difference
 /// to the entry's query, at some level n in [n0, n1], is within the
-/// entry's stored k-th best difference for that level plus the guard
-/// band — otherwise the point cannot displace any cached answer and
-/// the entry survives. Cost: O(entries in cache * d) per mutation,
+/// entry's stored k-th best difference for that level (<=, so boundary
+/// ties evict) — otherwise the point cannot displace any cached answer
+/// and the entry survives. Cost: O(entries in cache * d) per mutation,
 /// which is the price of keeping unrelated entries warm across
 /// updates.
 ///

@@ -7,7 +7,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #if defined(__AVX2__)
@@ -100,13 +99,6 @@ concept DirectColumnAccessor =
 template <typename Accessor>
 class AdKernel {
  public:
-  /// One popped attribute, as AdEngine::Pop.
-  struct Pop {
-    PointId pid;
-    Value dif;
-    uint16_t appearances;
-  };
-
   AdKernel(Accessor& accessor, std::span<const Value> query,
            std::span<const Value> weights = {}, AdScratch* scratch = nullptr)
       : acc_(accessor),
@@ -245,35 +237,6 @@ class AdKernel {
     }
   }
 
-  /// Pops the next attribute in ascending difference order; nullopt
-  /// once every attribute of every column has been consumed — or once
-  /// the accessor reports a failure. Single-stepping entry point for
-  /// consumers that cannot batch (AdMatchStream); one tree replay per
-  /// pop, no runner-up computation.
-  std::optional<Pop> Step() {
-    if (AccessorFailed()) return std::nullopt;
-    uint32_t w;
-    if (use_scan_) {
-      Value ru_unused, x2_unused, x3_unused;
-      w = ScanWinner(&ru_unused, &x2_unused, &x3_unused);
-    } else {
-      w = tree_->winner();
-    }
-    if (cur_dif_[w] == kInfValue) return std::nullopt;
-    const PointId pid = cur_pid_[w];
-    const Value dif = cur_dif_[w];
-    const uint16_t a = scratch_->BumpAppearances(pid);
-    Advance(w);
-    if (AccessorFailed()) return std::nullopt;
-    if (use_scan_) {
-      UpdatePairMin(w);
-    } else {
-      tree_->Replay(w, cur_dif_);
-    }
-    ++tree_replays_;
-    return Pop{pid, dif, a};
-  }
-
   /// Attributes retrieved so far (including cursor read-ahead, not
   /// including buffered entries no cursor has reached yet).
   uint64_t attributes_retrieved() const { return attributes_retrieved_; }
@@ -360,8 +323,7 @@ class AdKernel {
       RecordRun(run_length);
       ++tree_replays_;
       // Only w's pair changed during the run; fold its new front back
-      // into the pair-min array the next selection (or a later Step)
-      // reads.
+      // into the pair-min array the next selection reads.
       UpdatePairMin(w);
       if (stop) return;
       if (phase == 0) {

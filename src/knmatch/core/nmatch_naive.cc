@@ -6,20 +6,43 @@
 #include <vector>
 
 #include "knmatch/common/top_k.h"
+#include "knmatch/core/ad_algorithm.h"
 #include "knmatch/core/nmatch.h"
 
 namespace knmatch {
 
+namespace {
+
+/// The Delta' array under per-dimension weights: w_i * |p_i - q_i|,
+/// sorted ascending (plain SortedAbsDifferences when unweighted).
+void SortedDifferences(std::span<const Value> p, std::span<const Value> q,
+                       std::span<const Value> weights,
+                       std::vector<Value>* out) {
+  if (weights.empty()) {
+    SortedAbsDifferences(p, q, out);
+    return;
+  }
+  out->resize(p.size());
+  for (size_t i = 0; i < p.size(); ++i) {
+    (*out)[i] = std::abs(p[i] - q[i]) * weights[i];
+  }
+  std::sort(out->begin(), out->end());
+}
+
+}  // namespace
+
 Result<KnMatchResult> KnMatchNaive(const Dataset& db,
                                    std::span<const Value> query, size_t n,
-                                   size_t k) {
+                                   size_t k, std::span<const Value> weights) {
   Status s = ValidateMatchParams(db.size(), db.dims(), query.size(), n, n, k);
+  if (!s.ok()) return s;
+  s = ValidateAdWeights(weights, db.dims());
   if (!s.ok()) return s;
 
   BoundedTopK<PointId, Value, PointId> top(k);
   std::vector<Value> diffs;
   for (PointId pid = 0; pid < db.size(); ++pid) {
-    SortedAbsDifferences(db.point(pid), query, &diffs);
+    SortedDifferences(db.point(pid), query, weights, &diffs);
     top.Offer(diffs[n - 1], pid, pid);
   }
 
@@ -34,9 +57,11 @@ Result<KnMatchResult> KnMatchNaive(const Dataset& db,
 
 Result<FrequentKnMatchResult> FrequentKnMatchNaive(
     const Dataset& db, std::span<const Value> query, size_t n0, size_t n1,
-    size_t k) {
+    size_t k, std::span<const Value> weights) {
   Status s =
       ValidateMatchParams(db.size(), db.dims(), query.size(), n0, n1, k);
+  if (!s.ok()) return s;
+  s = ValidateAdWeights(weights, db.dims());
   if (!s.ok()) return s;
 
   using Accumulator = BoundedTopK<PointId, Value, PointId>;
@@ -46,7 +71,7 @@ Result<FrequentKnMatchResult> FrequentKnMatchNaive(
 
   std::vector<Value> diffs;
   for (PointId pid = 0; pid < db.size(); ++pid) {
-    SortedAbsDifferences(db.point(pid), query, &diffs);
+    SortedDifferences(db.point(pid), query, weights, &diffs);
     for (size_t n = n0; n <= n1; ++n) {
       per_n[n - n0].Offer(diffs[n - 1], pid, pid);
     }

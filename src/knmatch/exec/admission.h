@@ -18,9 +18,9 @@ namespace knmatch::exec {
 ///    flight at once (the queue behind them is the transport's);
 ///  - predictive deadline: with a request deadline armed, the request
 ///    is shed when now + EWMA(completed-request latency) already
-///    passes it — the same rule as BatchOptions::predictive_shedding,
-///    converting a doomed start into an immediate refusal the client
-///    can retry elsewhere.
+///    passes it — the same rule a batch with BatchOptions::deadline_ms
+///    applies, converting a doomed start into an immediate refusal the
+///    client can retry elsewhere.
 ///
 /// Thread-safe; Admit/Finish pair around each admitted request.
 class AdmissionController {

@@ -54,19 +54,17 @@ BatchExecutor::BatchExecutor(size_t threads, bool allow_oversubscription)
 }
 
 /// One batch call's governance state: the shared deadline and cancel
-/// flag, the attribute pool, and the latency EWMA behind predictive
-/// shedding. Admit() is consulted by every worker at each query's
-/// start boundary; admitted queries additionally carry a QueryContext
-/// configured by Configure(), so the same deadline/cancel/budgets trip
-/// them cooperatively in flight.
+/// flag, and the latency EWMA behind predictive shedding. Admit() is
+/// consulted by every worker at each query's start boundary; admitted
+/// queries additionally carry a QueryContext configured by
+/// Configure(), so the same deadline/cancel/budgets trip them
+/// cooperatively in flight.
 class BatchExecutor::RunGuard {
  public:
   explicit RunGuard(const BatchOptions& options)
       : cancel_(options.cancel),
         has_deadline_(options.deadline_ms > 0),
-        budgets_(options.budgets),
-        attribute_pool_(options.attribute_pool),
-        predictive_(options.predictive_shedding && options.deadline_ms > 0) {
+        budgets_(options.budgets) {
     if (has_deadline_) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<
@@ -85,19 +83,15 @@ class BatchExecutor::RunGuard {
       obs::Cat().batch_queue_depth->Add(-1);
       return Status::Unavailable("batch cancelled");
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (has_deadline_ && now >= deadline_) {
-      obs::Cat().batch_skipped_deadline->Add();
-      obs::Cat().batch_queue_depth->Add(-1);
-      return Status::DeadlineExceeded("batch deadline exceeded");
-    }
-    if (attribute_pool_ != 0 &&
-        pool_used_.load(std::memory_order_relaxed) >= attribute_pool_) {
-      obs::Cat().batch_shed_pool->Add();
-      obs::Cat().batch_queue_depth->Add(-1);
-      return Status::ResourceExhausted("batch attribute pool exhausted");
-    }
-    if (predictive_) {
+    if (has_deadline_) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline_) {
+        obs::Cat().batch_skipped_deadline->Add();
+        obs::Cat().batch_queue_depth->Add(-1);
+        return Status::DeadlineExceeded("batch deadline exceeded");
+      }
+      // Predictive shedding: refuse a start whose expected completion
+      // already passes the deadline.
       const int64_t predicted = ewma_.ns();
       if (predicted > 0 &&
           now + std::chrono::nanoseconds(predicted) >= deadline_) {
@@ -115,9 +109,9 @@ class BatchExecutor::RunGuard {
     return has_deadline_ || cancel_ != nullptr || budgets_.any();
   }
 
-  /// Predictive shedding needs per-query latencies even when obs is
-  /// off.
-  bool predictive() const { return predictive_; }
+  /// A deadline arms predictive shedding, which needs per-query
+  /// latencies even when obs is off.
+  bool has_deadline() const { return has_deadline_; }
 
   /// Arms `ctx` with the batch's absolute deadline, cancel flag, and
   /// per-query budgets.
@@ -127,23 +121,14 @@ class BatchExecutor::RunGuard {
     ctx->budgets() = budgets_;
   }
 
-  /// Settles one finished (or tripped) query: draws its attribute cost
-  /// from the pool and folds its latency into the EWMA.
-  void OnQueryDone(uint64_t attributes, int64_t latency_ns) {
-    if (attribute_pool_ != 0 && attributes != 0) {
-      pool_used_.fetch_add(attributes, std::memory_order_relaxed);
-    }
-    if (predictive_) ewma_.Record(latency_ns);
-  }
+  /// Folds one finished (or tripped) query's latency into the EWMA.
+  void RecordLatency(int64_t latency_ns) { ewma_.Record(latency_ns); }
 
  private:
   std::shared_ptr<std::atomic<bool>> cancel_;
   bool has_deadline_;
   std::chrono::steady_clock::time_point deadline_;
   QueryBudgets budgets_;
-  uint64_t attribute_pool_;
-  bool predictive_;
-  std::atomic<uint64_t> pool_used_{0};
   EwmaLatency ewma_;
 };
 
@@ -175,54 +160,29 @@ Result<BatchResult<ResultT>> BatchExecutor::RunGoverned(
   out.statuses.assign(total, Status::OK());
   obs::Cat().batch_calls->Add();
 
-  // Deterministic queue-depth shedding: the cap admits a prefix of the
-  // batch; the tail never enters the queue.
-  size_t admitted = total;
-  if (const size_t cap = request.options.max_queue_depth;
-      cap != 0 && total > cap) {
-    admitted = cap;
-    for (size_t i = cap; i < total; ++i) {
-      out.statuses[i] =
-          Status::ResourceExhausted("batch queue depth exceeded");
-    }
-    obs::Cat().batch_shed_queue_depth->Add(
-        static_cast<uint64_t>(total - cap));
-  }
-
-  // Duplicate collapse over the admitted prefix: rep[i] is the first
-  // admitted index with a bit-identical query vector; only
-  // representatives (rep[i] == i) enter the queue.
-  std::vector<size_t> rep(admitted);
+  // Duplicate collapse: rep[i] is the first index with a bit-identical
+  // query vector; only representatives (rep[i] == i) enter the queue.
+  std::vector<size_t> rep(total);
   std::vector<size_t> distinct;
-  distinct.reserve(admitted);
-  if (request.options.collapse_duplicates) {
-    std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-    buckets.reserve(admitted);
-    for (size_t i = 0; i < admitted; ++i) {
-      std::vector<size_t>& bucket =
-          buckets[HashQuery(request.queries[i])];
-      rep[i] = i;
-      for (const size_t j : bucket) {
-        if (request.queries[j] == request.queries[i]) {
-          rep[i] = j;
-          break;
-        }
-      }
-      if (rep[i] == i) {
-        bucket.push_back(i);
-        distinct.push_back(i);
+  distinct.reserve(total);
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  buckets.reserve(total);
+  for (size_t i = 0; i < total; ++i) {
+    std::vector<size_t>& bucket = buckets[HashQuery(request.queries[i])];
+    rep[i] = i;
+    for (const size_t j : bucket) {
+      if (request.queries[j] == request.queries[i]) {
+        rep[i] = j;
+        break;
       }
     }
-    if (const size_t collapsed = admitted - distinct.size();
-        collapsed != 0) {
-      obs::Cat().batch_dup_collapsed->Add(
-          static_cast<uint64_t>(collapsed));
-    }
-  } else {
-    for (size_t i = 0; i < admitted; ++i) {
-      rep[i] = i;
+    if (rep[i] == i) {
+      bucket.push_back(i);
       distinct.push_back(i);
     }
+  }
+  if (const size_t collapsed = total - distinct.size(); collapsed != 0) {
+    obs::Cat().batch_dup_collapsed->Add(static_cast<uint64_t>(collapsed));
   }
   // The queue holds the distinct queries only: duplicates never pass
   // the admission boundary, so the depth gauge drains to zero as the
@@ -243,22 +203,17 @@ Result<BatchResult<ResultT>> BatchExecutor::RunGoverned(
       ctx_ptr = &ctx;
     }
     std::chrono::steady_clock::time_point start;
-    if (guard.predictive()) start = std::chrono::steady_clock::now();
+    if (guard.has_deadline()) start = std::chrono::steady_clock::now();
     Result<ResultT> r = run(worker, i, ctx_ptr);
-    int64_t latency_ns = 0;
-    if (guard.predictive()) {
-      latency_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+    if (guard.has_deadline()) {
+      guard.RecordLatency(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
     }
     if (r.ok()) {
       out.results[i] = std::move(r).value();
-      guard.OnQueryDone(out.results[i].attributes_retrieved, latency_ns);
     } else {
-      // A tripped query still drains the pool by what it consumed.
-      guard.OnQueryDone(
-          ctx_ptr != nullptr ? ctx.trip().attributes_retrieved : 0,
-          latency_ns);
       out.statuses[i] = r.status();
     }
   };
@@ -282,7 +237,7 @@ Result<BatchResult<ResultT>> BatchExecutor::RunGoverned(
     }
   }
   // Fan the representatives' outcomes out to their duplicates.
-  for (size_t i = 0; i < admitted; ++i) {
+  for (size_t i = 0; i < total; ++i) {
     if (rep[i] == i) continue;
     out.statuses[i] = out.statuses[rep[i]];
     if (out.statuses[i].ok()) out.results[i] = out.results[rep[i]];

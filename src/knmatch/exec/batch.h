@@ -38,47 +38,25 @@ struct BatchOptions {
   bool allow_oversubscription = false;
   /// Wall-clock budget for the whole batch, measured from the moment
   /// the executor starts fanning out; 0 means no deadline. Enforced at
-  /// two levels: queries not yet started when it passes are skipped
+  /// three levels: queries not yet started when it passes are skipped
   /// with kDeadlineExceeded at their start boundary (including ones
-  /// still queued behind busy workers), and queries already in flight
-  /// share the same absolute deadline through their QueryContext, so
-  /// they trip cooperatively instead of running to completion — the
-  /// overshoot is one governance stride, not one query's latency.
+  /// still queued behind busy workers); queries whose predicted
+  /// completion (now + an EWMA of completed-query latencies) would pass
+  /// it are shed at that boundary with kDeadlineExceeded, converting a
+  /// doomed start into an immediate refusal; and queries already in
+  /// flight share the same absolute deadline through their
+  /// QueryContext, so they trip cooperatively instead of running to
+  /// completion — the overshoot is one governance stride, not one
+  /// query's latency.
   double deadline_ms = 0;
   /// Optional cancellation flag shared with the caller: set it to true
   /// (from any thread) and workers stop picking up queries at the next
   /// boundary; in-flight queries trip with kUnavailable at their next
   /// governance check. Null means not cancellable.
   std::shared_ptr<std::atomic<bool>> cancel;
-  /// Queries admitted into one batch call; anything past the cap is
-  /// shed deterministically from the tail (highest indices) with
-  /// kResourceExhausted before fan-out begins. 0 means unlimited.
-  size_t max_queue_depth = 0;
-  /// Per-query resource budgets applied to every admitted query (see
+  /// Per-query resource budgets applied to every query (see
   /// QueryBudgets; zero fields are unlimited).
   QueryBudgets budgets;
-  /// Shared attribute pool for the whole batch: every finished query's
-  /// attribute cost draws it down, and once it is empty the remaining
-  /// queries are shed with kResourceExhausted at their start boundary
-  /// (granularity is one query — an in-flight query is bounded by
-  /// `budgets`, not the pool). 0 means unlimited.
-  uint64_t attribute_pool = 0;
-  /// Predictive shedding (requires deadline_ms > 0): the executor keeps
-  /// an EWMA of completed-query latencies and shed queries whose
-  /// predicted completion would pass the batch deadline, converting a
-  /// doomed start into an immediate kDeadlineExceeded. The decision
-  /// rule is deterministic given the observed latencies.
-  bool predictive_shedding = false;
-  /// Collapse exact-duplicate queries within the batch: each distinct
-  /// admitted query vector executes once and its result (or governance
-  /// status) is fanned out to the duplicates' slots. Duplicates do not
-  /// pass the admission boundary, draw the attribute pool, or count in
-  /// the per-query metrics (they land in
-  /// knmatch_batch_dup_collapsed_total instead), and the batch's
-  /// attributes_retrieved sums each distinct query once — the batch
-  /// reports the work actually done. Answers are unaffected: a
-  /// duplicate's answer is by definition the representative's.
-  bool collapse_duplicates = true;
 };
 
 /// A batch of same-shaped queries. The match parameters (n, k, ...) are
@@ -95,11 +73,19 @@ struct BatchRequest {
 /// status and an answer, or a typed governance status and a
 /// default-constructed result: kDeadlineExceeded when the batch
 /// deadline passed before the query started (or predicted shedding
-/// refused it) or tripped it in flight, kResourceExhausted when the
-/// queue-depth cap, the attribute pool, or a per-query budget shed it,
-/// kUnavailable when the cancel flag stopped it. Queries that ran to
-/// completion are bit-identical to solo execution regardless of which
-/// others were skipped or tripped.
+/// refused it) or tripped it in flight, kResourceExhausted when a
+/// per-query budget tripped it, kUnavailable when the cancel flag
+/// stopped it. Queries that ran to completion are bit-identical to solo
+/// execution regardless of which others were skipped or tripped.
+///
+/// Exact-duplicate queries within a batch collapse: each distinct query
+/// vector executes once and its result (or governance status) is fanned
+/// out to the duplicates' slots. Duplicates do not pass the admission
+/// boundary or count in the per-query metrics (they land in
+/// knmatch_batch_dup_collapsed_total instead), and the batch's
+/// attributes_retrieved sums each distinct query once — the batch
+/// reports the work actually done. Answers are unaffected: a
+/// duplicate's answer is by definition the representative's.
 template <typename ResultT>
 struct BatchResult {
   std::vector<ResultT> results;
@@ -164,14 +150,14 @@ class BatchExecutor {
                        const BatchRequest& request, size_t n0, size_t n1,
                        size_t k) const;
 
-  /// Tracks one batch's deadline, cancel flag, attribute pool, and
-  /// latency EWMA; queries consult it at their start boundary and
-  /// settle into it when they finish.
+  /// Tracks one batch's deadline, cancel flag, and latency EWMA;
+  /// queries consult it at their start boundary and settle into it
+  /// when they finish.
   class RunGuard;
 
-  /// Shared fan-out skeleton: queue-depth shedding, duplicate
-  /// collapse, per-query admission, governance context wiring, chunked
-  /// dispatch over the distinct queries, and result/status settling
+  /// Shared fan-out skeleton: duplicate collapse, per-query admission,
+  /// governance context wiring, chunked dispatch over the distinct
+  /// queries, and result/status settling
   /// (including the duplicate fan-out copy after the barrier).
   /// `run(worker, i, ctx)` executes query `i` and returns its result.
   template <typename ResultT, typename RunFn>

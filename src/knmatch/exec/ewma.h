@@ -11,11 +11,11 @@ namespace knmatch::exec {
 ///
 ///   next = old == 0 ? sample : (3 * old + sample) / 4
 ///
-/// Shared by the batch executor's predictive shedding and the shard
-/// router's hedging trigger. Racy read-modify-write on purpose: the
-/// EWMA feeds heuristics (shed / hedge decisions), and a lost update
-/// under contention only delays convergence by one sample — so the
-/// atomics are relaxed and Record never loops.
+/// Shared by the batch executor's predictive shedding and the serving
+/// admission gate. Racy read-modify-write on purpose: the EWMA feeds
+/// heuristics (shed decisions), and a lost update under contention only
+/// delays convergence by one sample — so the atomics are relaxed and
+/// Record never loops.
 class EwmaLatency {
  public:
   /// Folds one latency sample in; non-positive samples are ignored.

@@ -178,11 +178,6 @@ Catalog BuildCatalog() {
   const char* kShedHelp =
       "Batch queries shed by admission control before running, by "
       "reason";
-  c.batch_shed_queue_depth = r.GetCounter(kShedName,
-                                          "reason=\"queue_depth\"",
-                                          kShedHelp);
-  c.batch_shed_pool = r.GetCounter(kShedName, "reason=\"budget_pool\"",
-                                   kShedHelp);
   c.batch_shed_predicted = r.GetCounter(kShedName,
                                         "reason=\"predicted_deadline\"",
                                         kShedHelp);
@@ -294,15 +289,6 @@ Catalog BuildCatalog() {
       "knmatch_shard_dispatches_total", "",
       "Shards dispatched to (non-empty, breaker allowed), summed over "
       "queries");
-  const char* kHedgeName = "knmatch_shard_hedges_total";
-  const char* kHedgeHelp =
-      "Hedged duplicate dispatches to a second replica, by outcome "
-      "(dispatched counts every hedge; won counts hedges that supplied "
-      "the answer)";
-  c.shard_hedges = r.GetCounter(kHedgeName, "outcome=\"dispatched\"",
-                                kHedgeHelp);
-  c.shard_hedge_wins = r.GetCounter(kHedgeName, "outcome=\"won\"",
-                                    kHedgeHelp);
   c.shard_failovers = r.GetCounter(
       "knmatch_shard_failovers_total", "",
       "Replica failover re-dispatches after kDataLoss/kUnavailable");
@@ -330,8 +316,8 @@ Catalog BuildCatalog() {
       "Whole scatter+gather wall time per router query", 1e-9);
   c.shard_dispatch_seconds = r.GetHistogram(
       "knmatch_shard_dispatch_seconds", "",
-      "One shard's dispatch wall time (primary, hedge, and failover "
-      "attempts included)", 1e-9);
+      "One shard's dispatch wall time (primary and failover attempts "
+      "included)", 1e-9);
 
   const char* kServeConnsName = "knmatch_serve_connections_total";
   const char* kServeConnsHelp =

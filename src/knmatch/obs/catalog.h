@@ -76,8 +76,6 @@ struct Catalog {
   Counter* governance_trip_attributes;  // attribute-budget trips
   Counter* governance_trip_pages;       // page-budget trips
   Counter* governance_trip_scratch;     // scratch-memory admission refusals
-  Counter* batch_shed_queue_depth;      // shed: queue-depth cap
-  Counter* batch_shed_pool;             // shed: batch budget pool drained
   Counter* batch_shed_predicted;        // shed: predicted to miss deadline
   Counter* batch_dup_collapsed;         // duplicate queries answered once
   Counter* breaker_skipped;             // routings refused by open breakers
@@ -118,8 +116,6 @@ struct Catalog {
   // RouterStats 1:1; the equality tests hold them to each other. ---
   Counter* shard_queries;          // router-level scatter-gather queries
   Counter* shard_dispatches;       // shards dispatched (breaker allowed)
-  Counter* shard_hedges;           // hedged duplicate dispatches issued
-  Counter* shard_hedge_wins;       // hedges that supplied the answer
   Counter* shard_failovers;        // failover re-dispatches to replicas
   Counter* shard_breaker_skips;    // shards skipped on an open breaker
   Counter* shard_partial_answers;  // answers with shards missing

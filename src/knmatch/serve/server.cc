@@ -1010,7 +1010,6 @@ std::string HttpServer::HandleBatch(const Job& job, int* http_status) {
                        "deadline passed before the batch started");
     }
     request.options.deadline_ms = remaining_ms;
-    request.options.predictive_shedding = true;
   }
 
   std::vector<Status> statuses;

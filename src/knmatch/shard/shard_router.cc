@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "knmatch/core/ad_algorithm.h"
@@ -17,6 +16,11 @@ namespace knmatch::shard {
 namespace {
 
 using Clock = QueryContext::Clock;
+
+/// Fraction of the caller's remaining deadline granted to each shard
+/// slice, the rest being merge/gather headroom. Slices are absolute:
+/// every shard of one query races the same wall-clock instant.
+constexpr double kDeadlineSliceFraction = 0.9;
 
 int64_t ElapsedNs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -64,7 +68,6 @@ struct ShardRouter::Shard {
   /// Fed by every dispatch to this shard; locks itself, so concurrent
   /// queries and /health readers share it safely.
   mutable exec::CircuitBreaker breaker;
-  mutable exec::EwmaLatency ewma;
   /// Round-robin primary-replica cursor.
   mutable std::atomic<uint64_t> rr{0};
 
@@ -84,8 +87,6 @@ struct ShardRouter::ShardOutcome {
   bool empty = false;         // shard holds no points; skipped silently
   bool dispatched = false;    // at least one replica attempt ran
   bool breaker_skip = false;  // refused by the shard's open breaker
-  bool hedged = false;
-  bool hedge_win = false;
   size_t failovers = 0;
   bool ok = false;
   FrequentKnMatchResult answer;  // valid when ok
@@ -238,10 +239,11 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     if (!sh->to_global.empty()) ++live;
   }
 
-  // Governance slices: every shard races the same absolute deadline (a
-  // fraction of the caller's remaining time, keeping gather headroom),
-  // and the caller's attribute/page budgets split evenly across the
-  // live shards.
+  // Governance slices: every shard races the same absolute deadline
+  // (kDeadlineSliceFraction of the caller's remaining time, keeping
+  // gather headroom), and the caller's attribute/page budgets split
+  // evenly across the live shards (scratch budgets pass through
+  // unchanged: each shard's arena is already proportionally smaller).
   const bool has_deadline = ctx != nullptr && ctx->has_deadline();
   Clock::time_point slice_deadline{};
   if (has_deadline) {
@@ -250,14 +252,14 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     if (remaining.count() < 0) remaining = Clock::duration::zero();
     slice_deadline =
         now + std::chrono::duration_cast<Clock::duration>(
-                  remaining * options_.deadline_slice_fraction);
+                  remaining * kDeadlineSliceFraction);
   }
   QueryBudgets budgets;
   std::shared_ptr<std::atomic<bool>> cancel;
   if (ctx != nullptr) {
     budgets = ctx->budgets();
     cancel = ctx->cancel_token();
-    if (options_.split_budgets && live > 1) {
+    if (live > 1) {
       if (budgets.max_attributes != 0) {
         budgets.max_attributes =
             std::max<uint64_t>(1, budgets.max_attributes / live);
@@ -291,8 +293,6 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
       continue;
     }
     ++rep.shards_dispatched;
-    if (o.hedged) ++rep.hedges;
-    if (o.hedge_win) ++rep.hedge_wins;
     rep.failovers += o.failovers;
     obs::Cat().shard_dispatch_seconds->Observe(
         static_cast<uint64_t>(o.elapsed_ns));
@@ -305,15 +305,11 @@ Result<FrequentKnMatchResult> ShardRouter::RunQuery(
     }
   }
   dispatches_.fetch_add(rep.shards_dispatched, std::memory_order_relaxed);
-  hedges_.fetch_add(rep.hedges, std::memory_order_relaxed);
-  hedge_wins_.fetch_add(rep.hedge_wins, std::memory_order_relaxed);
   failovers_.fetch_add(rep.failovers, std::memory_order_relaxed);
   breaker_skips_.fetch_add(rep.breaker_skips, std::memory_order_relaxed);
   {
     const obs::Catalog& cat = obs::Cat();
     cat.shard_dispatches->Add(rep.shards_dispatched);
-    cat.shard_hedges->Add(rep.hedges);
-    cat.shard_hedge_wins->Add(rep.hedge_wins);
     cat.shard_failovers->Add(rep.failovers);
     cat.shard_breaker_skips->Add(rep.breaker_skips);
     cat.shard_fanout_seconds->Observe(static_cast<uint64_t>(fanout_ns));
@@ -380,70 +376,21 @@ void ShardRouter::DispatchShard(
   const size_t primary =
       sh.rr.fetch_add(1, std::memory_order_relaxed) % R;
 
-  std::vector<char> tried(R, 0);
   bool trip = false;
   Result<FrequentKnMatchResult> res =
-      Status::Unavailable("shard not dispatched");
-
-  const bool hedge = options_.hedge_threshold_ms > 0 && R > 1 &&
-                     sh.ewma.ms() >= options_.hedge_threshold_ms;
-  if (hedge) {
-    // Wait-both hedging: the duplicate runs on the next replica's engine
-    // concurrently (other queries may be on either engine too) and is
-    // joined before returning, as it borrows this frame. "First usable
-    // answer wins" decides attribution (hedge_win), not which answer is
-    // used — answers are identical, so preferring the primary's is
-    // harmless.
-    out->hedged = true;
-    const size_t hedge_replica = (primary + 1) % R;
-    tried[primary] = 1;
-    tried[hedge_replica] = 1;
-    Result<FrequentKnMatchResult> hedge_res =
-        Status::Unavailable("hedge not dispatched");
-    bool hedge_trip = false;
-    std::atomic<int> first{-1};
-    std::thread duplicate([&] {
-      hedge_res = RunReplica(sh, hedge_replica, query, n0, n1, k_eff,
-                             weights, frequent, has_deadline,
-                             slice_deadline, budgets, cancel, &hedge_trip);
-      int expected = -1;
-      first.compare_exchange_strong(expected, 1,
-                                    std::memory_order_acq_rel);
-    });
-    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, frequent,
-                     has_deadline, slice_deadline, budgets, cancel, &trip);
-    int expected = -1;
-    first.compare_exchange_strong(expected, 0, std::memory_order_acq_rel);
-    duplicate.join();
-    if (first.load(std::memory_order_acquire) == 1 && hedge_res.ok()) {
-      out->hedge_win = true;
-    }
-    if (!res.ok() && hedge_res.ok()) {
-      // The hedge rescued a failed (or tripped) primary.
-      res = std::move(hedge_res);
-      trip = false;
-      out->hedge_win = true;
-    }
-  } else {
-    tried[primary] = 1;
-    res = RunReplica(sh, primary, query, n0, n1, k_eff, weights, frequent,
-                     has_deadline, slice_deadline, budgets, cancel, &trip);
-  }
-
+      RunReplica(sh, primary, query, n0, n1, k_eff, weights, frequent,
+                 has_deadline, slice_deadline, budgets, cancel, &trip);
   if (!res.ok() && !trip && IsAvailabilityError(res.status())) {
     for (size_t i = 1; i < R; ++i) {
-      const size_t r = (primary + i) % R;
-      if (tried[r]) continue;
       ++out->failovers;
-      trip = false;
-      res = RunReplica(sh, r, query, n0, n1, k_eff, weights, frequent,
-                       has_deadline, slice_deadline, budgets, cancel, &trip);
+      res = RunReplica(sh, (primary + i) % R, query, n0, n1, k_eff, weights,
+                       frequent, has_deadline, slice_deadline, budgets,
+                       cancel, &trip);
       if (res.ok() || trip || !IsAvailabilityError(res.status())) break;
     }
   }
 
   out->elapsed_ns = ElapsedNs(start);
-  sh.ewma.Record(out->elapsed_ns);
   if (res.ok()) {
     sh.breaker.RecordSuccess();
     out->ok = true;
@@ -555,8 +502,6 @@ RouterStats ShardRouter::Stats() const {
   RouterStats stats;
   stats.queries = queries_.load(std::memory_order_relaxed);
   stats.dispatches = dispatches_.load(std::memory_order_relaxed);
-  stats.hedges = hedges_.load(std::memory_order_relaxed);
-  stats.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   stats.failovers = failovers_.load(std::memory_order_relaxed);
   stats.breaker_skips = breaker_skips_.load(std::memory_order_relaxed);
   stats.partial_answers = partial_answers_.load(std::memory_order_relaxed);

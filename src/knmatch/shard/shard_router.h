@@ -16,7 +16,6 @@
 #include "knmatch/core/query_context.h"
 #include "knmatch/engine.h"
 #include "knmatch/exec/circuit_breaker.h"
-#include "knmatch/exec/ewma.h"
 #include "knmatch/exec/thread_pool.h"
 #include "knmatch/shard/partition.h"
 #include "knmatch/storage/disk_simulator.h"
@@ -24,14 +23,14 @@
 namespace knmatch::shard {
 
 /// Options for a ShardRouter. Defaults give a 4-shard, unreplicated,
-/// hash-partitioned, in-memory router with hedging off.
+/// hash-partitioned, in-memory router.
 struct RouterOptions {
   /// Shard count S. Each shard holds a horizontal slice of the dataset
   /// behind `replicas` full SimilarityEngines.
   size_t shards = 4;
   /// Replica group size per shard. Each replica is its own engine over
-  /// its own DiskSimulator — independent fault domains, so hedging and
-  /// failover have somewhere to go.
+  /// its own DiskSimulator — independent fault domains, so failover
+  /// has somewhere to go. Queries rotate their primary across the group.
   size_t replicas = 1;
   /// Virtual partitions per shard (placement granularity; see
   /// PartitionPlan). More partitions = finer rebalancing.
@@ -53,22 +52,6 @@ struct RouterOptions {
   /// weights, as the engine's disk path does.
   enum class Method { kMemoryAd, kDiskAuto, kDiskScan, kDiskAd, kDiskVaFile };
   Method method = Method::kMemoryAd;
-
-  /// Hedging: when a shard's EWMA dispatch latency (exec/ewma.h) is at
-  /// or above this threshold and the shard has a second replica, the
-  /// dispatch is duplicated to the next replica concurrently and the
-  /// first usable answer wins (answers are identical; hedging buys
-  /// latency and masks a slow or failing primary). 0 disables.
-  double hedge_threshold_ms = 0;
-
-  /// Fraction of the caller's remaining deadline granted to each shard
-  /// slice, the rest being merge/gather headroom. Slices are absolute:
-  /// every shard of one query races the same wall-clock instant.
-  double deadline_slice_fraction = 0.9;
-  /// Divide the caller's attribute/page budgets evenly across the
-  /// non-empty shards (scratch budgets pass through unchanged — each
-  /// shard's arena is already proportionally smaller).
-  bool split_budgets = true;
 
   /// When a shard produces no answer (breaker open, every replica
   /// failed, or its slice tripped), answer from the surviving shards
@@ -110,10 +93,6 @@ struct ShardDegradation {
 struct DispatchReport {
   /// Shards actually dispatched to (non-empty, breaker allowed).
   size_t shards_dispatched = 0;
-  /// Hedged duplicate dispatches issued.
-  size_t hedges = 0;
-  /// Hedges whose replica finished first with a usable answer.
-  size_t hedge_wins = 0;
   /// Failover re-dispatches to further replicas.
   size_t failovers = 0;
   /// Shards skipped because their breaker was open.
@@ -128,8 +107,6 @@ struct DispatchReport {
 struct RouterStats {
   uint64_t queries = 0;
   uint64_t dispatches = 0;
-  uint64_t hedges = 0;
-  uint64_t hedge_wins = 0;
   uint64_t failovers = 0;
   uint64_t breaker_skips = 0;
   uint64_t partial_answers = 0;
@@ -161,7 +138,7 @@ struct RebalanceReport {
 ///
 /// Resilience, layered per shard on the existing primitives:
 ///  - a CircuitBreaker per shard (open shard => skipped, reported);
-///  - EWMA-triggered hedged dispatch to the next replica;
+///  - round-robin primary replica per query;
 ///  - read failover across the replica group on kDataLoss/kUnavailable
 ///    (never on governance trips — no retry amplification);
 ///  - partial answers from surviving shards with a ShardDegradation
@@ -208,7 +185,7 @@ class ShardRouter {
   /// Recomputes a balanced partition->shard assignment (longest-
   /// processing-time greedy) and atomically swaps in a freshly built
   /// shard set. In-flight and concurrent queries keep reading their
-  /// pinned snapshot. Replica breakers/EWMAs restart fresh; attached
+  /// pinned snapshot. Replica breakers restart fresh; attached
   /// fault injectors do not carry over (re-attach via replica_engine).
   Result<RebalanceReport> Rebalance();
 
@@ -250,8 +227,8 @@ class ShardRouter {
                                          QueryContext* ctx, bool frequent,
                                          DispatchReport* report) const;
 
-  /// One shard's dispatch: breaker consult, primary (+ optional hedged
-  /// replica) attempt, failover walk. Runs on a fan-out worker.
+  /// One shard's dispatch: breaker consult, primary attempt, failover
+  /// walk. Runs on a fan-out worker.
   void DispatchShard(const ShardSet& set, size_t shard_index,
                      std::span<const Value> query, size_t n0, size_t n1,
                      size_t k, std::span<const Value> weights,
@@ -293,8 +270,6 @@ class ShardRouter {
   // Lifetime counters (relaxed; read by Stats() and the obs family).
   mutable std::atomic<uint64_t> queries_{0};
   mutable std::atomic<uint64_t> dispatches_{0};
-  mutable std::atomic<uint64_t> hedges_{0};
-  mutable std::atomic<uint64_t> hedge_wins_{0};
   mutable std::atomic<uint64_t> failovers_{0};
   mutable std::atomic<uint64_t> breaker_skips_{0};
   mutable std::atomic<uint64_t> partial_answers_{0};

@@ -277,33 +277,39 @@ TEST(AdKernelDifferentialTest, RaggedColumnsMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Step(): the single-pop entry point (AdMatchStream's path)
+// Pop sequence: every pop Drive delivers, in order, against the heap engine
 
 TEST(AdKernelStepTest, StepSequenceMatchesHeapEngineToExhaustion) {
-  // Duplicate-heavy so ties cover the tree's whole order; run both
-  // engines dry and require identical pop sequences.
-  const Dataset db = Quantize(datagen::MakeUniform(120, 3, 17), 4.0);
-  const SortedColumns columns(db);
-  MemoryColumnAccessor acc(columns);
-  Rng rng(41);
-  for (int qi = 0; qi < 20; ++qi) {
-    std::vector<Value> q(db.dims());
-    for (Value& v : q) v = rng.Uniform(-0.1, 1.1);
-    AdKernel<MemoryColumnAccessor> kernel(acc, q);
-    AdEngine<MemoryColumnAccessor> engine(acc, q);
-    size_t pops = 0;
-    for (;;) {
-      auto kp = kernel.Step();
-      auto ep = engine.Step();
-      ASSERT_EQ(kp.has_value(), ep.has_value()) << "pop " << pops;
-      if (!kp.has_value()) break;
-      ASSERT_EQ(kp->pid, ep->pid) << "pop " << pops;
-      ASSERT_EQ(kp->dif, ep->dif) << "pop " << pops;
-      ASSERT_EQ(kp->appearances, ep->appearances) << "pop " << pops;
-      ++pops;
+  // Duplicate-heavy so ties cover the selection's whole order; drain the
+  // kernel through Drive and the heap engine through Step, and require
+  // identical pop sequences. 3 dims take the flat-scan selection, 40
+  // the loser tree.
+  for (const size_t dims : {size_t{3}, size_t{40}}) {
+    const Dataset db = Quantize(datagen::MakeUniform(120, dims, 17), 4.0);
+    const SortedColumns columns(db);
+    MemoryColumnAccessor acc(columns);
+    Rng rng(41);
+    for (int qi = 0; qi < 20; ++qi) {
+      std::vector<Value> q(db.dims());
+      for (Value& v : q) v = rng.Uniform(-0.1, 1.1);
+      AdKernel<MemoryColumnAccessor> kernel(acc, q);
+      AdEngine<MemoryColumnAccessor> engine(acc, q);
+      size_t pops = 0;
+      bool same = true;
+      kernel.Drive([&](PointId pid, Value dif, uint16_t appearances) {
+        const auto ep = engine.Step();
+        same = ep.has_value() && ep->pid == pid && ep->dif == dif &&
+               ep->appearances == appearances;
+        if (same) ++pops;
+        return same;
+      });
+      ASSERT_TRUE(same) << "dims " << dims << " query " << qi << " pop "
+                        << pops;
+      EXPECT_EQ(pops, db.size() * db.dims());
+      EXPECT_EQ(kernel.attributes_retrieved(),
+                engine.attributes_retrieved());
+      EXPECT_FALSE(engine.Step().has_value()) << "heap engine not drained";
     }
-    EXPECT_EQ(pops, db.size() * db.dims());
-    EXPECT_EQ(kernel.attributes_retrieved(), engine.attributes_retrieved());
   }
 }
 

@@ -46,8 +46,8 @@ cat >"$good" <<'EOF'
     {"name": "zipfian_repeat", "cold_qps": 240.0, "cached_qps": 2000.0, "cache_speedup": 8.33, "hit_ratio_percent": 88.9},
     {"name": "ingest_under_load", "query_qps": 250.0, "ingest_ops_per_sec": 17.0},
     {"name": "sharded_scatter_gather", "configs": [
-      {"shards": 1, "sharded_qps": 95.0, "hedge_rate": 0.99},
-      {"shards": 4, "sharded_qps": 80.0, "hedge_rate": 0.99}
+      {"shards": 1, "sharded_qps": 95.0},
+      {"shards": 4, "sharded_qps": 80.0}
     ]}
   ]
 }

@@ -10,7 +10,6 @@
 #include "knmatch/baselines/knn_scan.h"
 #include "knmatch/common/random.h"
 #include "knmatch/core/ad_algorithm.h"
-#include "knmatch/core/ad_stream.h"
 #include "knmatch/core/nmatch_naive.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/engine.h"
@@ -165,22 +164,6 @@ TEST(EdgeCases, MetricDistancesAgreeWithClosedForms) {
   // Fractional (p = 0.5): (sqrt(3) + sqrt(4))^2.
   const double expected = std::pow(std::sqrt(3.0) + 2.0, 2.0);
   EXPECT_NEAR(MetricDistance(a, b, Metric::kFractional), expected, 1e-12);
-}
-
-TEST(EdgeCases, WeightedStreamMatchesWeightedBatch) {
-  Dataset db = datagen::MakeUniform(150, 4, 207);
-  SortedColumns columns(db);
-  AdSearcher searcher(db);
-  std::vector<Value> q(4, 0.3);
-  std::vector<Value> w = {2.0, 0.5, 1.0, 4.0};
-  AdMatchStream stream(columns, q, 2, w);
-  auto batch = searcher.KnMatch(q, 2, 12, w);
-  ASSERT_TRUE(batch.ok());
-  for (const Neighbor& expected : batch.value().matches) {
-    auto next = stream.Next();
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(*next, expected);
-  }
 }
 
 TEST(EdgeCases, EngineWeightedQueries) {

@@ -18,6 +18,7 @@
 #include "knmatch/engine.h"
 #include "knmatch/eval/experiment.h"
 #include "knmatch/exec/thread_pool.h"
+#include "knmatch/obs/catalog.h"
 
 namespace knmatch {
 namespace {
@@ -576,19 +577,6 @@ TEST(BatchDedupTest, DuplicateQueriesCollapseToOneExecution) {
     distinct_cost += engine.KnMatch(q, 2, 5).value().attributes_retrieved;
   }
   EXPECT_EQ(batch.value().attributes_retrieved, distinct_cost);
-
-  // With collapsing off the answers are identical and the cost metric
-  // counts every slot.
-  request.options.collapse_duplicates = false;
-  const auto full = engine.KnMatchBatch(request, 2, 5);
-  ASSERT_TRUE(full.ok());
-  for (size_t i = 0; i < request.queries.size(); ++i) {
-    EXPECT_TRUE(full.value().results[i].matches ==
-                batch.value().results[i].matches)
-        << "slot " << i;
-  }
-  EXPECT_GT(full.value().attributes_retrieved,
-            batch.value().attributes_retrieved);
 }
 
 TEST(BatchDedupTest, GovernanceAccountingSeesDistinctQueriesOnly) {
@@ -597,12 +585,14 @@ TEST(BatchDedupTest, GovernanceAccountingSeesDistinctQueriesOnly) {
   const std::vector<Value> hot{0.3, 0.6, 0.2, 0.8};
   request.queries.assign(8, hot);  // one distinct query, 8 slots
   request.options.threads = 1;
-  // An attribute pool large enough for exactly one execution of `hot`:
-  // collapsing must satisfy all 8 slots from that single run.
   const auto solo = engine.KnMatch(hot, 2, 4);
   ASSERT_TRUE(solo.ok());
-  request.options.attribute_pool = solo.value().attributes_retrieved;
 
+  // Only the representative passes the admission boundary: one query
+  // runs and is metered, the other 7 slots count as collapsed.
+  const obs::Catalog& cat = obs::Cat();
+  const uint64_t ran0 = cat.batch_queries->Value();
+  const uint64_t collapsed0 = cat.batch_dup_collapsed->Value();
   const auto batch = engine.KnMatchBatch(request, 2, 4);
   ASSERT_TRUE(batch.ok());
   for (size_t i = 0; i < 8; ++i) {
@@ -612,40 +602,8 @@ TEST(BatchDedupTest, GovernanceAccountingSeesDistinctQueriesOnly) {
   }
   EXPECT_EQ(batch.value().attributes_retrieved,
             solo.value().attributes_retrieved);
-
-  // Without collapsing, the same pool is exhausted after the first
-  // query and the remaining slots shed.
-  request.options.collapse_duplicates = false;
-  const auto shed = engine.KnMatchBatch(request, 2, 4);
-  ASSERT_TRUE(shed.ok());
-  EXPECT_TRUE(shed.value().statuses[0].ok());
-  size_t exhausted = 0;
-  for (size_t i = 1; i < 8; ++i) {
-    if (shed.value().statuses[i].code() == StatusCode::kResourceExhausted) {
-      ++exhausted;
-    }
-  }
-  EXPECT_EQ(exhausted, 7u);
-}
-
-TEST(BatchDedupTest, QueueDepthCapAppliesBeforeCollapse) {
-  SimilarityEngine engine(datagen::MakeUniform(300, 3, 93));
-  exec::BatchRequest request;
-  const std::vector<Value> hot{0.5, 0.5, 0.5};
-  request.queries.assign(6, hot);
-  request.options.threads = 1;
-  request.options.max_queue_depth = 4;  // sheds slots 4 and 5 first
-
-  const auto batch = engine.KnMatchBatch(request, 2, 3);
-  ASSERT_TRUE(batch.ok());
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_TRUE(batch.value().statuses[i].ok()) << "slot " << i;
-  }
-  for (size_t i = 4; i < 6; ++i) {
-    EXPECT_EQ(batch.value().statuses[i].code(),
-              StatusCode::kResourceExhausted)
-        << "slot " << i;
-  }
+  EXPECT_EQ(cat.batch_queries->Value() - ran0, 1u);
+  EXPECT_EQ(cat.batch_dup_collapsed->Value() - collapsed0, 7u);
 }
 
 TEST(BatchDedupTest, ChunkedBatchStaysDeterministicAcrossThreadCounts) {

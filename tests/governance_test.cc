@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -295,67 +296,6 @@ TEST(GovernanceObsTest, DeadlineFractionHistogramObservesGovernedQueries) {
 // ---------------------------------------------------------------------------
 // Batch admission control and shedding.
 
-TEST(GovernanceBatchTest, QueueDepthCapShedsTheTailDeterministically) {
-  SimilarityEngine engine(datagen::MakeUniform(500, 3, 41));
-  exec::BatchRequest request;
-  for (int i = 0; i < 8; ++i) {
-    request.queries.push_back({0.1 * i, 0.4, 0.6});
-  }
-  request.options.threads = 2;
-  request.options.allow_oversubscription = true;
-
-  auto unbounded = engine.KnMatchBatch(request, 2, 5);
-  ASSERT_TRUE(unbounded.ok());
-
-  request.options.max_queue_depth = 4;
-  auto capped = engine.KnMatchBatch(request, 2, 5);
-  ASSERT_TRUE(capped.ok());
-  for (size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(capped.value().statuses[i].ok());
-    EXPECT_EQ(capped.value().results[i].matches,
-              unbounded.value().results[i].matches);
-  }
-  for (size_t i = 4; i < 8; ++i) {
-    EXPECT_TRUE(StatusIs(capped.value().statuses[i],
-                         StatusCode::kResourceExhausted));
-    EXPECT_TRUE(capped.value().results[i].matches.empty());
-  }
-}
-
-TEST(GovernanceBatchTest, AttributePoolShedsOnceDrained) {
-  SimilarityEngine engine(datagen::MakeUniform(500, 4, 42));
-  exec::BatchRequest request;
-  for (int i = 0; i < 6; ++i) {
-    request.queries.push_back({0.1 * i, 0.4, 0.6, 0.2});
-  }
-  request.options.threads = 1;  // sequential, so the drain is ordered
-
-  auto unbounded = engine.FrequentKnMatchBatch(request, 1, 4, 10);
-  ASSERT_TRUE(unbounded.ok());
-  const uint64_t per_query =
-      unbounded.value().results[0].attributes_retrieved;
-  ASSERT_GT(per_query, 0u);
-
-  // Room for roughly two queries; the rest must shed.
-  request.options.attribute_pool = per_query * 2;
-  auto pooled = engine.FrequentKnMatchBatch(request, 1, 4, 10);
-  ASSERT_TRUE(pooled.ok());
-  size_t ok = 0, shed = 0;
-  for (size_t i = 0; i < pooled.value().statuses.size(); ++i) {
-    if (pooled.value().statuses[i].ok()) {
-      ++ok;
-      EXPECT_EQ(pooled.value().results[i].per_n_sets,
-                unbounded.value().results[i].per_n_sets);
-    } else {
-      ++shed;
-      EXPECT_TRUE(StatusIs(pooled.value().statuses[i],
-                           StatusCode::kResourceExhausted));
-    }
-  }
-  EXPECT_GE(ok, 2u);
-  EXPECT_GE(shed, 1u);
-}
-
 TEST(GovernanceBatchTest, PerQueryBudgetsTripInFlight) {
   SimilarityEngine engine(datagen::MakeUniform(800, 4, 43));
   exec::BatchRequest request;
@@ -382,13 +322,45 @@ TEST(GovernanceBatchTest, PredictiveSheddingIsIdleUnderAGenerousDeadline) {
   request.options.threads = 2;
   request.options.allow_oversubscription = true;
   request.options.deadline_ms = 1e9;
-  request.options.predictive_shedding = true;
 
   auto r = engine.KnMatchBatch(request, 2, 5);
   ASSERT_TRUE(r.ok());
   for (const Status& s : r.value().statuses) {
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
+}
+
+TEST(GovernanceBatchTest, DeadlineAloneArmsPredictiveShedding) {
+  // A batch deadline is all it takes: once a query's predicted
+  // completion (now + the EWMA of finished queries' latencies) passes
+  // the deadline, the query is refused before it starts. Where the
+  // deadline lands is timing-dependent (a query straddling it trips in
+  // flight instead, and the rest are skipped as past the deadline), so
+  // the batch repeats until one attempt shows a predicted shed; nearly
+  // every attempt does.
+  SimilarityEngine engine(datagen::MakeUniform(4000, 8, 45));
+  exec::BatchRequest request;
+  Rng rng(46);
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<Value> q(8);
+    for (Value& v : q) v = rng.Uniform01();
+    request.queries.push_back(std::move(q));
+  }
+  request.options.threads = 1;
+  request.options.deadline_ms = 20;
+
+  bool predicted = false;
+  for (int attempt = 0; attempt < 20 && !predicted; ++attempt) {
+    auto r = engine.KnMatchBatch(request, 4, 10);
+    ASSERT_TRUE(r.ok());
+    for (const Status& s : r.value().statuses) {
+      if (StatusIs(s, StatusCode::kDeadlineExceeded) &&
+          s.message().find("predicted") != std::string::npos) {
+        predicted = true;
+      }
+    }
+  }
+  EXPECT_TRUE(predicted);
 }
 
 // ---------------------------------------------------------------------------

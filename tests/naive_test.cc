@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "knmatch/common/random.h"
+#include "knmatch/core/ad_algorithm.h"
 #include "knmatch/core/nmatch.h"
 #include "knmatch/datagen/generators.h"
 #include "paper_data.h"
@@ -142,6 +144,91 @@ TEST(RankByFrequencyTest, TruncatesToK) {
   EXPECT_EQ(result.matches.size(), 2u);
   EXPECT_EQ(result.matches[0].pid, 1u);
   EXPECT_EQ(result.matches[1].pid, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Weighted queries: the AD searcher against the weighted scan oracle.
+
+TEST(WeightedAdTest, MatchesWeightedScan) {
+  Dataset db = datagen::MakeUniform(300, 5, 85);
+  AdSearcher searcher(db);
+  Rng rng(86);
+  std::vector<Value> q(5), w(5);
+  for (Value& v : q) v = rng.Uniform01();
+  for (Value& v : w) v = rng.Uniform(0.1, 5.0);
+
+  for (size_t n = 1; n <= 5; ++n) {
+    auto ad = searcher.KnMatch(q, n, 8, w);
+    auto scan = KnMatchNaive(db, q, n, 8, w);
+    ASSERT_TRUE(ad.ok());
+    ASSERT_TRUE(scan.ok());
+    ASSERT_EQ(ad.value().matches.size(), scan.value().matches.size());
+    for (size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(ad.value().matches[i].pid, scan.value().matches[i].pid)
+          << "n=" << n << " i=" << i;
+      EXPECT_NEAR(ad.value().matches[i].distance,
+                  scan.value().matches[i].distance, 1e-12);
+    }
+  }
+}
+
+TEST(WeightedAdTest, FrequentWeightedMatchesScan) {
+  Dataset db = datagen::MakeUniform(250, 6, 87);
+  AdSearcher searcher(db);
+  std::vector<Value> q(6, 0.44);
+  std::vector<Value> w = {1, 2, 0.5, 3, 1.5, 0.25};
+  auto ad = searcher.FrequentKnMatch(q, 2, 5, 7, w);
+  auto scan = FrequentKnMatchNaive(db, q, 2, 5, 7, w);
+  ASSERT_TRUE(ad.ok());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(ad.value().matches, scan.value().matches);
+  EXPECT_EQ(ad.value().frequencies, scan.value().frequencies);
+}
+
+TEST(WeightedAdTest, UnitWeightsEqualUnweighted) {
+  Dataset db = datagen::MakeUniform(200, 4, 88);
+  AdSearcher searcher(db);
+  std::vector<Value> q(4, 0.3);
+  std::vector<Value> ones(4, 1.0);
+  auto weighted = searcher.KnMatch(q, 2, 6, ones);
+  auto plain = searcher.KnMatch(q, 2, 6);
+  ASSERT_TRUE(weighted.ok());
+  EXPECT_EQ(weighted.value().matches, plain.value().matches);
+  EXPECT_EQ(weighted.value().attributes_retrieved,
+            plain.value().attributes_retrieved);
+}
+
+TEST(WeightedAdTest, RejectsBadWeights) {
+  Dataset db = datagen::MakeUniform(50, 3, 89);
+  AdSearcher searcher(db);
+  std::vector<Value> q(3, 0.5);
+  EXPECT_FALSE(searcher.KnMatch(q, 1, 1, std::vector<Value>{1, 2}).ok());
+  EXPECT_FALSE(
+      searcher.KnMatch(q, 1, 1, std::vector<Value>{1, 0, 2}).ok());
+  EXPECT_FALSE(
+      searcher.KnMatch(q, 1, 1, std::vector<Value>{1, -1, 2}).ok());
+  // The scan oracle validates weights the same way.
+  EXPECT_FALSE(KnMatchNaive(db, q, 1, 1, std::vector<Value>{1, 0, 2}).ok());
+  EXPECT_FALSE(
+      FrequentKnMatchNaive(db, q, 1, 2, 1, std::vector<Value>{1, 2}).ok());
+}
+
+TEST(WeightedAdTest, WeightChangesWinner) {
+  // Point A matches the query in dim 0 only; B in dim 1 only.
+  // Up-weighting dim 0's differences pushes A's mismatch cost up.
+  Dataset db(Matrix::FromRows({
+      {0.50, 0.90},  // A: perfect in dim 0
+      {0.90, 0.50},  // B: perfect in dim 1
+  }));
+  AdSearcher searcher(db);
+  std::vector<Value> q = {0.5, 0.5};
+  // 2-match difference (max of weighted diffs): A = w0*0 vs w1*0.4.
+  auto heavy_dim0 = searcher.KnMatch(q, 2, 1, std::vector<Value>{10, 1});
+  ASSERT_TRUE(heavy_dim0.ok());
+  EXPECT_EQ(heavy_dim0.value().matches[0].pid, 0u);  // A: 0.4 < 4.0
+  auto heavy_dim1 = searcher.KnMatch(q, 2, 1, std::vector<Value>{1, 10});
+  ASSERT_TRUE(heavy_dim1.ok());
+  EXPECT_EQ(heavy_dim1.value().matches[0].pid, 1u);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Sharded scatter-gather: partition plans, the exact answer merge, and
-// the ShardRouter (hedged dispatch, replica failover, breaker-driven
+// the ShardRouter (replica rotation and failover, breaker-driven
 // partial answers, rebalancing under snapshot reads). The Shard* suites
 // also run under ASan/TSan (see scripts/check_asan.sh, check_tsan.sh).
 //
 // The heart of this file is ShardDifferentialSoak: >1000 randomized
 // queries asserting the sharded answer is bit-identical to one
-// unsharded engine, across all three partitioners, with hedging forced
-// on, and under injected disk faults.
+// unsharded engine, across all three partitioners, with replica groups
+// rotating the primary, and under injected disk faults.
 
 #include <algorithm>
 #include <atomic>
@@ -329,18 +329,35 @@ TEST(ShardDifferentialSoak, AllPartitionersBitIdentical) {
   }
 }
 
-TEST(ShardDifferentialSoak, HedgingPreservesBitIdentity) {
+TEST(ShardDifferentialSoak, ReplicaRotationPreservesBitIdentity) {
+  // With R = 2 each query's primary rotates across the replica group;
+  // every dispatch is one attempt on one replica, and the answers stay
+  // bit-identical whichever replica served them.
   SoakRig rig(400, 6, 777);
   RouterOptions options;
   options.shards = 4;
   options.replicas = 2;
-  options.hedge_threshold_ms = 1e-9;  // hedge every dispatch after the first
+  {
+    const ShardRouter router(rig.db, options);
+    Rng rng(42);
+    rig.Soak(router, 150, rng);
+    const shard::RouterStats stats = router.Stats();
+    EXPECT_EQ(stats.dispatches, 150u * router.num_shards());
+    EXPECT_EQ(stats.failovers, 0u);
+  }
+  // The disk path shows the rotation: each disk query charges the
+  // serving replica's own simulator, so every replica read pages.
+  options.method = RouterOptions::Method::kDiskScan;
   const ShardRouter router(rig.db, options);
-  Rng rng(42);
-  rig.Soak(router, 150, rng);
-  const shard::RouterStats stats = router.Stats();
-  EXPECT_GT(stats.hedges, 0u);
-  EXPECT_EQ(stats.failovers, 0u);
+  Rng rng(43);
+  rig.Soak(router, 40, rng);
+  for (size_t s = 0; s < router.num_shards(); ++s) {
+    for (size_t r = 0; r < router.num_replicas(); ++r) {
+      EXPECT_GT(router.replica_engine(s, r)->disk_simulator()->total_reads(),
+                0u)
+          << "shard " << s << " replica " << r << " never served";
+    }
+  }
 }
 
 TEST(ShardDifferentialSoak, AutoDiskAbsorbsInjectedFaults) {
@@ -677,17 +694,16 @@ void ConcurrentSoakWithRebalance(const SoakRig& rig, ShardRouter* router,
   EXPECT_GE(router->Stats().rebalances, 1u);
 }
 
-TEST(ShardConcurrency, HedgedQueriesRacingRebalanceAreBitIdentical) {
+TEST(ShardConcurrency, ReplicatedQueriesRacingRebalanceAreBitIdentical) {
   SoakRig rig(500, 6, 61);
   RouterOptions options;
   options.shards = 4;
   options.replicas = 2;
   options.partitioner = Partitioner::kKMeans;
-  options.hedge_threshold_ms = 1e-9;  // hedge every dispatch after the first
   ShardRouter router(rig.db, options);
   ConcurrentSoakWithRebalance(rig, &router, 40);
   EXPECT_GT(router.Stats().partitions_moved, 0u);
-  EXPECT_GT(router.Stats().hedges, 0u);
+  EXPECT_EQ(router.Stats().failovers, 0u);
 }
 
 TEST(ShardConcurrency, DiskQueriesRacingRebalanceAreBitIdentical) {
@@ -751,8 +767,6 @@ TEST(ShardObs, MetricsEqualRouterStats) {
   const obs::Catalog& cat = obs::Cat();
   const uint64_t queries0 = cat.shard_queries->Value();
   const uint64_t dispatches0 = cat.shard_dispatches->Value();
-  const uint64_t hedges0 = cat.shard_hedges->Value();
-  const uint64_t hedge_wins0 = cat.shard_hedge_wins->Value();
   const uint64_t failovers0 = cat.shard_failovers->Value();
   const uint64_t skips0 = cat.shard_breaker_skips->Value();
   const uint64_t partial0 = cat.shard_partial_answers->Value();
@@ -764,7 +778,6 @@ TEST(ShardObs, MetricsEqualRouterStats) {
   RouterOptions options;
   options.shards = 4;
   options.replicas = 2;
-  options.hedge_threshold_ms = 1e-9;
   options.partitioner = Partitioner::kKMeans;
   ShardRouter router(db, options);
   EXPECT_EQ(cat.shard_count->Value(), 4);
@@ -788,8 +801,6 @@ TEST(ShardObs, MetricsEqualRouterStats) {
   const shard::RouterStats stats = router.Stats();
   EXPECT_EQ(cat.shard_queries->Value() - queries0, stats.queries);
   EXPECT_EQ(cat.shard_dispatches->Value() - dispatches0, stats.dispatches);
-  EXPECT_EQ(cat.shard_hedges->Value() - hedges0, stats.hedges);
-  EXPECT_EQ(cat.shard_hedge_wins->Value() - hedge_wins0, stats.hedge_wins);
   EXPECT_EQ(cat.shard_failovers->Value() - failovers0, stats.failovers);
   EXPECT_EQ(cat.shard_breaker_skips->Value() - skips0, stats.breaker_skips);
   EXPECT_EQ(cat.shard_partial_answers->Value() - partial0,
